@@ -1,10 +1,12 @@
 """Braided structures: R-matrices, hexagons, quadratic forms, and oracles.
 
 A braiding on the graded category attached to (G, phi) is an R-matrix
-R: G x G -> k* making (phi, R) satisfy the two hexagon identities
-
-    R(xy,z) phi(x,z,y) = phi(x,y,z) R(x,z) phi(z,x,y) R(y,z)
-    phi(x,y,z) R(x,yz) phi(y,z,x) = R(x,y) phi(y,x,z) R(x,z)
+R: G x G -> k* making (phi, R) satisfy the two hexagon identities.  The
+laws declared here (see ``cochains.Law``) are HEXAGONS, R_PSI (the
+R-matrix psi(x,y)^-1 psi(y,x) of a 2-cochain) and QUADRATIC_FORM, the
+seven-term identity.  ``hexagon_failure`` and ``is_quadratic_form`` take
+their first failure, ``abelian_coboundary`` the value map of R_PSI, and
+``abelian_cohomologous`` and ``count_hexagon_solutions_mu`` their Z/m rows.
 
 The Eilenberg-Mac Lane trace Q(x) = R(x,x) identifies cohomology classes
 of such pairs with quadratic forms; this module enumerates the full Klein
@@ -23,15 +25,28 @@ import numpy as np
 from . import klein_tables
 from .cochains import (
     Cochain,
+    boundary_matrix,
     cochain_exponents,
     cochain_from_exponents,
     delta2,
+    evaluate,
+    first_failure,
     is_normalized2,
+    law,
+    law_rows,
+    pullback,
 )
 from .groups import FiniteAbelianGroup, cyclic, klein
 from .klein import phi_X, projection_to_c2
 from .scalars import CycScalar, as_root_exponent, coerce, root_of_unity
 from .zmodlin import solve_mod
+
+HEXAGONS = (
+    law("+R(xy,z) +phi(x,z,y) -phi(x,y,z) -R(x,z) -phi(z,x,y) -R(y,z)"),
+    law("+phi(x,y,z) +R(x,yz) +phi(y,z,x) -R(x,y) -phi(y,x,z) -R(x,z)"),
+)
+R_PSI = law("+psi(y,x) -psi(x,y)")
+QUADRATIC_FORM = law("+Q(xyz) +Q(x) +Q(y) +Q(z) -Q(xy) -Q(xz) -Q(yz)")
 
 
 @dataclass(frozen=True)
@@ -64,17 +79,10 @@ class AbelianCocycle:
 
 def hexagon_failure(phi: Cochain, R: Cochain):
     """First (which, x, y, z) violating a hexagon identity, or None."""
-    f, r = phi.values, R.values
-    for x, y, z in phi.group.tuples(3):
-        lhs = r[(x * y, z)] * f[(x, z, y)]
-        rhs = f[(x, y, z)] * r[(x, z)] * f[(z, x, y)] * r[(y, z)]
-        if lhs != rhs:
-            return (1, x, y, z)
-        lhs = f[(x, y, z)] * r[(x, y * z)] * f[(y, z, x)]
-        rhs = r[(x, y)] * f[(y, x, z)] * r[(x, z)]
-        if lhs != rhs:
-            return (2, x, y, z)
-    return None
+    if phi.group != R.group or phi.degree != 3 or R.degree != 2:
+        raise ValueError("expected a degree-3 and a degree-2 cochain on one group")
+    failure = first_failure(HEXAGONS, phi.group, {"phi": phi.dense(), "R": R.dense()})
+    return None if failure is None else (failure[0] + 1, *failure[1])
 
 
 def is_abelian_cocycle(phi: Cochain, R: Cochain) -> bool:
@@ -85,10 +93,8 @@ def abelian_coboundary(psi: Cochain) -> AbelianCocycle:
     """(delta2(psi), R_psi) with R_psi(x, y) = psi(x, y)^-1 psi(y, x)."""
     if not is_normalized2(psi):
         raise ValueError("psi must take one common value on pairs containing e")
-    r_matrix = Cochain.from_function(
-        psi.group, 2, lambda x, y: psi.values[(x, y)].inv() * psi.values[(y, x)]
-    )
-    return AbelianCocycle(delta2(psi), r_matrix)
+    r_values = evaluate(R_PSI, psi.group, {"psi": psi.dense()})
+    return AbelianCocycle(delta2(psi), Cochain.from_dense(psi.group, 2, r_values))
 
 
 # ----------------------------------------------------------------- #
@@ -149,12 +155,8 @@ def is_quadratic_form(Q: QuadraticForm) -> bool:
     for x in Q.group.elements():
         if v[x.inverse()] != v[x]:
             return False
-    for x, y, z in Q.group.tuples(3):
-        lhs = v[x * y * z] * v[x] * v[y] * v[z]
-        rhs = v[x * y] * v[x * z] * v[y * z]
-        if lhs != rhs:
-            return False
-    return True
+    dense = [v[x] for x in Q.group.elements()]
+    return first_failure([QUADRATIC_FORM], Q.group, {"Q": dense}) is None
 
 
 def klein_quadratic_form_criteria(Q: QuadraticForm) -> bool:
@@ -192,19 +194,7 @@ def klein_braiding_trivial(mu_sigma, mu_tau, mu_rho) -> AbelianCocycle:
     for m in mus:
         if not (m**2).is_one():
             raise ValueError("diagonal parameters must be signs")
-    G = klein()
-    ms, mt, mr = mus
-    one = CycScalar.one()
-    table = {
-        (G.sigma, G.sigma): ms, (G.tau, G.tau): mt, (G.rho, G.rho): mr,
-        (G.sigma, G.tau): one, (G.tau, G.sigma): ms * mt * mr,
-        (G.sigma, G.rho): ms, (G.rho, G.sigma): mt * mr,
-        (G.tau, G.rho): ms * mr, (G.rho, G.tau): mt,
-    }
-    r_matrix = Cochain.from_function(
-        G, 2, lambda x, y: one if (x.is_identity or y.is_identity) else table[(x, y)]
-    )
-    return AbelianCocycle(Cochain.constant(G, 3, 1), r_matrix)
+    return _klein_braiding(Cochain.constant(klein(), 3, 1), mus, CycScalar.one())
 
 
 def klein_braiding_phiX(subset, mu_sigma, mu_tau, mu_rho, alpha=1) -> AbelianCocycle:
@@ -229,8 +219,14 @@ def klein_braiding_phiX(subset, mu_sigma, mu_tau, mu_rho, alpha=1) -> AbelianCoc
     alpha = coerce(alpha)
     if not (alpha**2).is_one():
         raise ValueError("alpha must be a sign")
-    ms, mt, mr = mus["sigma"], mus["tau"], mus["rho"]
-    es, et, er = eps["sigma"], eps["tau"], eps["rho"]
+    return _klein_braiding(phi, (mus["sigma"], mus["tau"], mus["rho"]), alpha)
+
+
+def _klein_braiding(phi: Cochain, mus, alpha) -> AbelianCocycle:
+    """The census R-matrix over an even sign cocycle (possibly trivial) on C2xC2."""
+    G = phi.group
+    ms, mt, mr = mus
+    es, et, er = (phi.values[(x,) * 3] for x in (G.sigma, G.tau, G.rho))
     one = CycScalar.one()
     table = {
         (G.sigma, G.sigma): ms, (G.tau, G.tau): mt, (G.rho, G.rho): mr,
@@ -262,13 +258,9 @@ def qf_label(Q: QuadraticForm) -> str:
     raise ValueError(f"no census label for trace exponents {exps}")
 
 
-def _scalar_from_exponent(k: int) -> CycScalar:
-    return root_of_unity(4, k)
-
-
 def braiding_for_label(label: str) -> AbelianCocycle:
     """The census representative with a given label (alpha = +1)."""
-    qs, qt, qr = (_scalar_from_exponent(k) for k in klein_tables.label_values(label))
+    qs, qt, qr = (root_of_unity(4, k) for k in klein_tables.label_values(label))
     if label in klein_tables.WORD_LABELS:
         return klein_braiding_trivial(qs, qt, qr)
     subset = {"E1": {"sigma", "tau"}, "E2": {"sigma", "rho"}, "E3": {"tau", "rho"}}[label[-2:]]
@@ -331,14 +323,7 @@ def transport_t_ab(i: int, ac: AbelianCocycle) -> AbelianCocycle:
     if ac.group != cyclic(2):
         raise ValueError("transport starts from a structure on C2")
     project = projection_to_c2(i)
-    G = klein()
-    phi = Cochain.from_function(
-        G, 3, lambda x, y, z: ac.phi.values[(project(x), project(y), project(z))]
-    )
-    r_matrix = Cochain.from_function(
-        G, 2, lambda x, y: ac.R.values[(project(x), project(y))]
-    )
-    return AbelianCocycle(phi, r_matrix)
+    return AbelianCocycle(pullback(ac.phi, klein(), project), pullback(ac.R, klein(), project))
 
 
 # ----------------------------------------------------------------- #
@@ -354,40 +339,21 @@ def abelian_cohomologous(ac1: AbelianCocycle, ac2: AbelianCocycle, m: int) -> Co
     if ac1.group != ac2.group:
         raise ValueError("pairs must live on the same group")
     group = ac1.group
+    size = group.size
     quotient = ac1 * ac2.inv()
-    phi_t = cochain_exponents(quotient.phi, m)
-    r_t = cochain_exponents(quotient.R, m)
-    pairs = {args: i for i, args in enumerate(group.tuples(2))}
-    nvars = len(pairs)
-    rows, rhs = [], []
-    # delta2(psi) = quotient.phi
-    for k, (x, y, z) in enumerate(group.tuples(3)):
-        row = np.zeros(nvars, dtype=np.int64)
-        row[pairs[(y, z)]] += 1
-        row[pairs[(x * y, z)]] -= 1
-        row[pairs[(x, y * z)]] += 1
-        row[pairs[(x, y)]] -= 1
-        rows.append(row)
-        rhs.append(int(phi_t[k]))
-    # R_psi = quotient.R
-    for k, (x, y) in enumerate(group.tuples(2)):
-        row = np.zeros(nvars, dtype=np.int64)
-        row[pairs[(y, x)]] += 1
-        row[pairs[(x, y)]] -= 1
-        rows.append(row)
-        rhs.append(int(r_t[k]))
-    # normalization: all pairs containing e share psi(e, e)
-    e = group.identity()
-    for x in group.elements():
-        for key in ((e, x), (x, e)):
-            if key == (e, e):
-                continue
-            row = np.zeros(nvars, dtype=np.int64)
-            row[pairs[key]] += 1
-            row[pairs[(e, e)]] -= 1
-            rows.append(row)
-            rhs.append(0)
-    solution = solve_mod(np.array(rows), np.array(rhs), m)
+    # normalization: psi(e, x) and psi(x, e) (flat positions x, x*|G|) equal psi(e, e)
+    unit_pairs = [k for x in range(1, size) for k in (x, x * size)]
+    normalization = np.zeros((len(unit_pairs), size * size), dtype=np.int64)
+    normalization[np.arange(len(unit_pairs)), unit_pairs] = 1
+    normalization[:, 0] -= 1
+    rows = np.vstack(
+        [boundary_matrix(group, 2, m), law_rows(R_PSI, group, "psi", m)[0], normalization]
+    )
+    rhs = np.concatenate(
+        [cochain_exponents(quotient.phi, m), cochain_exponents(quotient.R, m),
+         np.zeros(len(unit_pairs), dtype=np.int64)]
+    )
+    solution = solve_mod(rows, rhs, m)
     if solution is None:
         return None
     psi = cochain_from_exponents(group, 2, solution, m)
@@ -410,50 +376,25 @@ def count_hexagon_solutions_mu(phi: Cochain, m: int = 4) -> int:
     full candidate set.
     """
     group = phi.group
-    phi_exp = {
-        args: k for args, k in zip(group.tuples(3), cochain_exponents(phi, m))
-    }
-    free = [x for x in group.elements() if not x.is_identity]
-    unknowns = {pair: i for i, pair in enumerate(_cartesian(free, repeat=2))}
-    nvars = len(unknowns)
-
-    def r_coeff(row, x, y, c):
-        if not (x.is_identity or y.is_identity):
-            row[unknowns[(x, y)]] += c
-
-    equations = []
-    for x, y, z in group.tuples(3):
-        row = np.zeros(nvars, dtype=np.int64)
-        r_coeff(row, x * y, z, 1)
-        r_coeff(row, x, z, -1)
-        r_coeff(row, y, z, -1)
-        const = phi_exp[(x, z, y)] - phi_exp[(x, y, z)] - phi_exp[(z, x, y)]
-        equations.append((row, const))
-        row = np.zeros(nvars, dtype=np.int64)
-        r_coeff(row, x, y * z, 1)
-        r_coeff(row, x, y, -1)
-        r_coeff(row, x, z, -1)
-        const = phi_exp[(x, y, z)] + phi_exp[(y, z, x)] - phi_exp[(y, x, z)]
-        equations.append((row, const))
-
+    size = group.size
+    known = {"phi": cochain_exponents(phi, m)}
+    blocks = [law_rows(hexagon, group, "R", m, known) for hexagon in HEXAGONS]
+    # both hexagons at each point in turn; R(x, y) = 1 when x or y is e
+    free = [x * size + y for x in range(1, size) for y in range(1, size)]
+    matrix = np.stack([a for a, _ in blocks], axis=1).reshape(-1, size * size)[:, free]
+    rhs = np.stack([b for _, b in blocks], axis=1).reshape(-1)
+    nvars = len(free)
     total = m**nvars
     candidates = np.arange(total)
     assignments = np.empty((nvars, total), dtype=np.int16)
     for i in range(nvars):
         assignments[i] = (candidates // m**i) % m
     alive = np.ones(total, dtype=bool)
-    for row, const in equations:
+    for row, b in zip(matrix, rhs):
         if not alive.any():
             break
         used = np.nonzero(row)[0]
-        if used.size == 0:
-            if const % m:
-                return 0
-            continue
-        values = (row[used].astype(np.int16) @ assignments[used][:, alive] + const) % m
-        keep = values == 0
-        idx = np.nonzero(alive)[0]
-        alive[idx[~keep]] = False
+        alive[alive] = (row[used].astype(np.int16) @ assignments[used][:, alive] - b) % m == 0
     return int(alive.sum())
 
 

@@ -1,19 +1,31 @@
 """Cochains on finite abelian groups with values in k*, and their cohomology.
 
 A degree-n cochain is a total table G^n -> k* of nonzero cyclotomic
-scalars.  The coboundary operators act multiplicatively; a degree-3
-cochain phi is a cocycle when
+scalars.  Each coherence law is declared once, as a ``Law``: signed terms
+``slot(word, ...)``, a word being a product of variables, whose product is
+1 at every point of G^arity.  Declared here is ``coboundary_law(n)``; at
+n = 3 it is the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt)
++f(x,y,z).  Laws run on element indices, through the group's Cayley
+table, and every use is one of three derivations:
 
-    phi(y,z,t) phi(x,yz,t) phi(x,y,z) = phi(xy,z,t) phi(x,y,zt)
+  first_failure -- first point where the + and - products differ, exactly
+                   (``cocycle3_failure``);
+  evaluate      -- the signed product at every point (``Cochain.delta``);
+  law_rows      -- the Z/m system in the exponents of one unknown slot
+                   (``boundary_matrix``).
 
-for all x, y, z, t.  Cochains valued in the m-th roots of unity embed
-into (Z/m)^(G^n) by taking exponents, which turns coboundary membership
-and cohomology into exact linear algebra over Z/m (see zmodlin).
+Cochains valued in the m-th roots of unity embed into (Z/m)^(G^n) by
+taking exponents, which turns coboundary membership and cohomology into
+exact linear algebra over Z/m (see zmodlin).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +66,11 @@ class Cochain:
         return cls(group, degree, {args: fn(*args) for args in group.tuples(degree)})
 
     @classmethod
+    def from_dense(cls, group, degree, values) -> "Cochain":
+        """The cochain with values listed in ``group.tuples(degree)`` order."""
+        return cls(group, degree, dict(zip(group.tuples(degree), values)))
+
+    @classmethod
     def constant(cls, group, degree, value=1) -> "Cochain":
         val = coerce(value)
         return cls(group, degree, {args: val for args in group.tuples(degree)})
@@ -91,22 +108,14 @@ class Cochain:
     def is_trivial(self) -> bool:
         return all(v.is_one() for v in self.values.values())
 
+    def dense(self) -> list[CycScalar]:
+        """The values in ``group.tuples(degree)`` order."""
+        return [self.values[args] for args in self.group.tuples(self.degree)]
+
     def delta(self) -> "Cochain":
         """The multiplicative coboundary, one degree up."""
-        n = self.degree
-
-        def value(*args):
-            acc = self.values[args[1:]]
-            sign = 1
-            for i in range(1, n + 1):
-                sign = -sign
-                merged = args[: i - 1] + (args[i - 1] * args[i],) + args[i + 1 :]
-                acc = acc * self.values[merged] if sign > 0 else acc * self.values[merged].inv()
-            sign = -sign
-            acc = acc * self.values[args[:n]] if sign > 0 else acc * self.values[args[:n]].inv()
-            return acc
-
-        return Cochain.from_function(self.group, n + 1, value)
+        values = evaluate(coboundary_law(self.degree), self.group, {"f": self.dense()})
+        return Cochain.from_dense(self.group, self.degree + 1, values)
 
     def __repr__(self) -> str:
         return f"Cochain({self.group!r}, degree={self.degree})"
@@ -134,6 +143,131 @@ class Cochain:
         return cls(group, degree, values)
 
 
+# ----------------------------------------------------------------- #
+# laws and their three derivations
+# ----------------------------------------------------------------- #
+
+class Law(NamedTuple):
+    """Terms (sign, slot, words) whose signed product is 1 on all of G^arity.
+
+    A word is the tuple of variable positions whose product is the argument.
+    """
+
+    arity: int
+    terms: tuple
+
+
+def law(text: str) -> Law:
+    """Parse signed terms ``+slot(word,...)`` over the variables x, y, z, t."""
+    terms = tuple(
+        (1 if sign == "+" else -1, slot,
+         tuple(tuple("xyzt".index(v) for v in word.strip()) for word in args.split(",")))
+        for sign, slot, args in re.findall(r"([+-])(\w+)\(([^)]*)\)", text)
+    )
+    return Law(1 + max(p for _, _, words in terms for word in words for p in word), terms)
+
+
+def positions(rule: Law, group: FiniteAbelianGroup) -> list[tuple[int, str, np.ndarray]]:
+    """(sign, slot, flat position of the argument at every point) per term."""
+    size, k = group.size, rule.arity
+    points = np.arange(group.tuple_count(k))
+    variables = [(points // size ** (k - 1 - p)) % size for p in range(k)]
+    table = group.cayley_table()
+    out = []
+    for sign, slot, words in rule.terms:
+        flat = np.zeros_like(points)
+        for word in words:
+            value = np.zeros_like(points)  # index 0 is the identity
+            for p in word:
+                value = table[value, variables[p]]
+            flat = flat * size + value
+        out.append((sign, slot, flat))
+    return out
+
+
+def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
+    """(law index, point) of the first violation, or None.
+
+    ``tables`` maps each slot to its dense values.  Points are visited in
+    ``group.tuples`` order and, at each point, the laws in the given order.
+    """
+    sides = []
+    for rule in laws:
+        terms = [(sign, tables[slot], flat.tolist()) for sign, slot, flat in positions(rule, group)]
+        sides.append([[(t, f) for s, t, f in terms if s == side] for side in (1, -1)])
+    for index, point in enumerate(group.tuples(laws[0].arity)):
+        for which, (plus, minus) in enumerate(sides):
+            lhs = reduce(mul, [table[flat[index]] for table, flat in plus])
+            if lhs != reduce(mul, [table[flat[index]] for table, flat in minus]):
+                return which, point
+    return None
+
+
+def evaluate(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
+    """The signed product of the terms at every point, as dense values.
+
+    Each entry of a slot with a minus sign is inverted once.
+    """
+    inverses = {}
+    columns = []
+    for sign, slot, flat in positions(rule, group):
+        table = tables[slot]
+        if sign < 0:
+            if slot not in inverses:
+                inverses[slot] = [v.inv() for v in table]
+            table = inverses[slot]
+        columns.append([table[i] for i in flat.tolist()])
+    return [reduce(mul, values) for values in zip(*columns)]
+
+
+def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=None):
+    """(A, b) over Z/m such that the law holds iff A @ v = b.
+
+    v is the exponent vector of slot ``unknown`` (values zeta_m^v); ``known``
+    maps every other slot of the law to its exponent vector.
+    """
+    points = np.arange(group.tuple_count(rule.arity))
+    degree = next(len(words) for _, slot, words in rule.terms if slot == unknown)
+    matrix = np.zeros((points.size, group.tuple_count(degree)), dtype=np.int64)
+    rhs = np.zeros(points.size, dtype=np.int64)
+    for sign, slot, flat in positions(rule, group):
+        if slot == unknown:
+            np.add.at(matrix, (points, flat), sign)
+        else:
+            rhs -= sign * np.asarray(known[slot])[flat]
+    matrix %= m
+    rhs %= m
+    return matrix, rhs
+
+
+def coboundary_law(n: int) -> Law:
+    """delta f = 1 on G^(n+1), for f of degree n: face i has sign (-1)^i.
+
+    Face 0 drops the first argument, face n+1 the last, and face i in
+    between merges arguments i-1 and i.
+    """
+    terms = []
+    for i in range(n + 2):
+        words = [(p,) for p in range(n + 1)]
+        if i in (0, n + 1):
+            del words[min(i, n)]
+        else:
+            words[i - 1 : i + 1] = [(i - 1, i)]
+        terms.append(((-1) ** i, "f", tuple(words)))
+    return Law(n + 1, tuple(terms))
+
+
+COCYCLE_LAW = coboundary_law(3)
+
+
+def pullback(phi: Cochain, group: FiniteAbelianGroup, hom) -> Cochain:
+    """phi(hom(x_1), ..., hom(x_n)) for a homomorphism hom: group -> phi.group."""
+    image = {x: hom(x) for x in group.elements()}
+    return Cochain.from_function(
+        group, phi.degree, lambda *args: phi.values[tuple(image[x] for x in args)]
+    )
+
+
 def delta2(g: Cochain) -> Cochain:
     if g.degree != 2:
         raise ValueError("delta2 expects a degree-2 cochain")
@@ -150,13 +284,8 @@ def cocycle3_failure(phi: Cochain):
     """First quadruple violating the 3-cocycle identity, or None."""
     if phi.degree != 3:
         raise ValueError("expected a degree-3 cochain")
-    v = phi.values
-    for x, y, z, t in phi.group.tuples(4):
-        lhs = v[(y, z, t)] * v[(x, y * z, t)] * v[(x, y, z)]
-        rhs = v[(x * y, z, t)] * v[(x, y, z * t)]
-        if lhs != rhs:
-            return (x, y, z, t)
-    return None
+    failure = first_failure([COCYCLE_LAW], phi.group, {"f": phi.dense()})
+    return None if failure is None else failure[1]
 
 
 def is_cocycle3(phi: Cochain) -> bool:
@@ -200,7 +329,8 @@ def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
         phi.group, 2, lambda x, y: phi.values[(e, e, y)].inv() * phi.values[(x, e, e)]
     )
     normalized = phi * delta2(witness)
-    assert is_normalized3(normalized)
+    if not is_normalized3(normalized):
+        raise RuntimeError("normalization witness failed to normalize the cocycle")
     return normalized, witness
 
 
@@ -247,22 +377,19 @@ def cyclic_qabc_coboundary_witness(n: int, q) -> Cochain:
         raise ValueError("q must satisfy q^n = 1")
     if not (q ** (n * (n - 1) // 2)).is_one():
         raise ValueError("not a coboundary for this q")
-    group = cyclic(n)
+    return cyclic_twist_cochain(n, q)
 
-    def value(x, y):
-        a, b = x.exponents[0], y.exponents[0]
-        return q ** (-(a - 1) * a * b // 2)
 
-    return Cochain.from_function(group, 2, value)
+def cyclic_twist_cochain(n: int, q) -> Cochain:
+    """The 2-cochain (c^a, c^b) -> q^(-(a-1)ab/2) on C_n."""
+    return Cochain.from_function(
+        cyclic(n), 2, lambda x, y: q ** (-(x.exponents[0] - 1) * x.exponents[0] * y.exponents[0] // 2)
+    )
 
 
 # ----------------------------------------------------------------- #
 # the additive Z/m engine
 # ----------------------------------------------------------------- #
-
-def _tuple_index(group: FiniteAbelianGroup, n: int) -> dict:
-    return {args: i for i, args in enumerate(group.tuples(n))}
-
 
 def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
     """Matrix of the degree-n coboundary on exponent vectors over Z/m.
@@ -270,37 +397,22 @@ def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
     Columns index G^n, rows index G^(n+1); a cochain with values
     zeta_m^v(args) maps to the cochain with exponent vector M @ v.
     """
-    cols = _tuple_index(group, n)
-    rows = list(group.tuples(n + 1))
-    matrix = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, args in enumerate(rows):
-        matrix[r, cols[args[1:]]] += 1
-        sign = 1
-        for i in range(1, n + 1):
-            sign = -sign
-            merged = args[: i - 1] + (args[i - 1] * args[i],) + args[i + 1 :]
-            matrix[r, cols[merged]] += sign
-        matrix[r, cols[args[:n]]] += -sign
-    return matrix % m
+    return law_rows(coboundary_law(n), group, "f", m)[0]
 
 
 def cochain_exponents(phi: Cochain, m: int) -> np.ndarray:
     """Exponent vector of a mu_m-valued cochain; error outside mu_m."""
-    vec = np.zeros(len(phi.values), dtype=np.int64)
-    index = _tuple_index(phi.group, phi.degree)
-    for args, val in phi.values.items():
-        k = as_root_exponent(val, m)
+    exponents = []
+    for args in phi.group.tuples(phi.degree):
+        k = as_root_exponent(phi.values[args], m)
         if k is None:
             raise ValueError(f"value at {args} is not in mu_{m}; undecidable in mu_{m} backend")
-        vec[index[args]] = k
-    return vec
+        exponents.append(k)
+    return np.array(exponents, dtype=np.int64)
 
 
 def cochain_from_exponents(group, degree: int, vec, m: int) -> Cochain:
-    values = {}
-    for i, args in enumerate(group.tuples(degree)):
-        values[args] = root_of_unity(m, int(vec[i]) % m)
-    return Cochain(group, degree, values)
+    return Cochain.from_dense(group, degree, [root_of_unity(m, int(k) % m) for k in vec])
 
 
 def is_coboundary_mu(phi: Cochain, m: int) -> Cochain | None:
@@ -341,6 +453,10 @@ class CohomologyReport:
 
 def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
     """H^n(G, mu_m) = ker(delta_n) / im(delta_(n-1)) by exact Z/m reduction."""
+    if n < 1:
+        raise ValueError(f"cohomology degree must be at least 1, got {n}")
+    if m < 1:
+        raise ValueError(f"modulus must be a positive integer, got {m}")
     outer = boundary_matrix(group, n, m)
     inner = boundary_matrix(group, n - 1, m)
     kernel = kernel_mod(outer, m)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import product as _cartesian
 from math import gcd, prod
 
+import numpy as np
+
 TUPLE_ENUMERATION_BOUND = 10**8
 
 _KLEIN_NAMES = {(0, 0): "e", (1, 0): "sigma", (0, 1): "tau", (1, 1): "rho"}
@@ -77,7 +79,7 @@ class GroupElement:
 class FiniteAbelianGroup:
     """Direct product C_{n_1} x ... x C_{n_k} of cyclic groups."""
 
-    __slots__ = ("orders", "_elements")
+    __slots__ = ("orders", "_elements", "_cayley")
 
     def __init__(self, orders):
         orders = tuple(int(n) for n in orders)
@@ -85,6 +87,7 @@ class FiniteAbelianGroup:
             raise ValueError("cyclic factor orders must be positive integers")
         self.orders = orders
         self._elements = None
+        self._cayley = None
 
     @property
     def size(self) -> int:
@@ -117,13 +120,31 @@ class FiniteAbelianGroup:
             )
         return self._elements
 
-    def tuples(self, n: int):
-        """Iterate over all n-tuples of elements, lexicographically."""
+    def cayley_table(self) -> np.ndarray:
+        """``table[i, j]`` is the index of ``elements()[i] * elements()[j]``."""
+        if self._cayley is None:
+            index = np.arange(self.size)
+            table = np.zeros((self.size, self.size), dtype=np.int64)
+            stride = 1
+            for n in self.orders:
+                coord = (index // stride) % n
+                table += (np.add.outer(coord, coord) % n) * stride
+                stride *= n
+            self._cayley = table
+        return self._cayley
+
+    def tuple_count(self, n: int) -> int:
+        """|G|^n, or ValueError beyond the enumeration bound."""
         if self.size**n > TUPLE_ENUMERATION_BOUND:
             raise ValueError(
                 f"{self.size}^{n} tuples exceed the enumeration bound "
                 f"{TUPLE_ENUMERATION_BOUND}"
             )
+        return self.size**n
+
+    def tuples(self, n: int):
+        """Iterate over all n-tuples of elements, lexicographically."""
+        self.tuple_count(n)
         return _cartesian(self.elements(), repeat=n)
 
     def generator(self) -> GroupElement:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochains import Cochain, cocycle3_failure, delta2, is_normalized3, normalize3
+from .cochains import Cochain, cocycle3_failure, delta2, is_normalized3, normalize3, pullback
 from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
 from .scalars import CycScalar, coerce, square_class
 
@@ -184,7 +184,8 @@ def happify(phi: Cochain) -> tuple[Cochain, Cochain]:
         b6=phi.values[(s, r, t)].inv(),
     )
     happy = phi * delta2(witness)
-    assert is_happy(happy)
+    if not is_happy(happy):
+        raise RuntimeError("happification witness failed to make the cocycle happy")
     return happy, witness
 
 
@@ -296,7 +297,4 @@ def transport_t(i: int, phi: Cochain) -> Cochain:
     bad = cocycle3_failure(phi)
     if bad is not None:
         raise ValueError(f"input is not a 3-cocycle; fails at {bad}")
-    project = projection_to_c2(i)
-    return Cochain.from_function(
-        klein(), 3, lambda x, y, z: phi.values[(project(x), project(y), project(z))]
-    )
+    return pullback(phi, klein(), projection_to_c2(i))

@@ -40,7 +40,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Divide by a monic integer polynomial; stays in integers."""
-    assert den and den[-1] == 1
+    if not den or den[-1] != 1:
+        raise ArithmeticError("divisor must be a monic polynomial")
     num = list(num)
     d = len(den) - 1
     quot = [0] * max(len(num) - d, 0)
@@ -68,7 +69,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             q, r = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert not r
+            if r:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
             num = q
     return tuple(num)
 
@@ -204,7 +206,8 @@ class CycScalar:
             r, r2 = r2, rem
             s, s2 = s2, _frac_sub(s, _frac_mul(q, s2))
         # r is a nonzero constant: Phi_N is irreducible over Q
-        assert len(_frac_trim(r)) == 1
+        if len(_frac_trim(r)) != 1:
+            raise ArithmeticError(f"gcd with Phi_{self.conductor} is not a constant")
         c = r[0]
         inv_nums = [x / c for x in s]
         den = 1

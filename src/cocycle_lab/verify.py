@@ -372,27 +372,19 @@ def claim_transport():
             f"abelian transport {index} of the sign braiding mismatches {label}",
         )
     # the third projection lands on the alpha = -1 variants: cohomologous
-    moved = transport_t_ab(3, r2)
-    _check(
-        abelian_cohomologous(moved, braiding_for_label("BC"), 4) is not None,
-        "transport 3 of the sign braiding is not cohomologous to BC",
-    )
-    moved = transport_t_ab(3, r3)
-    _check(
-        abelian_cohomologous(moved, braiding_for_label("E1"), 4) is not None,
-        "transport 3 is not cohomologous to E1",
-    )
-    moved = transport_t_ab(3, r4)
-    _check(
-        abelian_cohomologous(moved, braiding_for_label("BCE1"), 4) is not None,
-        "transport 3 of the conjugate braiding is not cohomologous to BCE1",
-    )
+    for source, label, message in (
+        (r2, "BC", "transport 3 of the sign braiding is not cohomologous to BC"),
+        (r3, "E1", "transport 3 is not cohomologous to E1"),
+        (r4, "BCE1", "transport 3 of the conjugate braiding is not cohomologous to BCE1"),
+    ):
+        moved = transport_t_ab(3, source)
+        _check(abelian_cohomologous(moved, braiding_for_label(label), 4) is not None, message)
     return "all transports land as classified, with explicit witnesses for projection 3"
 
 
 def claim_reassociators():
     C2 = cyclic(2)
-    pm = klein_minus_idempotent_c2()
+    pm = klein_minus_idempotent(C2.generator())
     expected = GroupAlgebraTensor.unit(C2, 3) - pm.tensor(pm).tensor(pm).scale(2)
     _check(
         reassociator_phi_l(2, 1, CycScalar.rational(-1)) == expected,
@@ -406,13 +398,6 @@ def claim_reassociators():
             _check(closed == transported, f"closed formula != transport at (n,l)=({n},{l})")
             _check(is_harrison_3cocycle(closed), f"pentagon fails at (n,l)=({n},{l})")
     return "closed formula = transport and pentagon verified for n in 2..5, all l"
-
-
-def klein_minus_idempotent_c2() -> GroupAlgebraTensor:
-    C2 = cyclic(2)
-    return GroupAlgebraTensor(
-        C2, 1, {(C2.identity(),): Fraction(1, 2), (C2.generator(),): Fraction(-1, 2)}
-    )
 
 
 def claim_klein_reassociator():
@@ -441,74 +426,47 @@ def claim_klein_reassociator():
     return "dual transports fixed (sigma,rho)->sigma, (tau,rho)->tau; class identity holds"
 
 
-def _klein_mult_table_diagonal(a_inv):
-    G = klein()
-    table = {}
-    for x, y in G.tuples(2):
-        coeff = a_inv if (x == y and not x.is_identity) else CycScalar.one()
-        table[(x, y)] = (coeff, x * y)
-    return table
-
-
-def _klein_mult_table_mixed(d_inv):
-    G = klein()
-    one = CycScalar.one()
-    scaled = {
-        (G.sigma, G.sigma), (G.tau, G.tau), (G.rho, G.rho),
-        (G.sigma, G.rho), (G.tau, G.sigma), (G.rho, G.tau),
+def _klein_mult_table(coeff, scaled):
+    """x*y, with coefficient coeff on the pairs in scaled and 1 elsewhere."""
+    return {
+        (x, y): (coeff if (x, y) in scaled else CycScalar.one(), x * y)
+        for x, y in klein().tuples(2)
     }
-    table = {}
-    for x, y in G.tuples(2):
-        coeff = d_inv if (x, y) in scaled else one
-        table[(x, y)] = (coeff, x * y)
-    return table
 
 
-def _klein_comult_diagonal(a):
+def _klein_comult(diag, cyc):
+    """The displayed coproducts: diag on x (x) x in Delta(e), cyc on
+    (rho, tau), (sigma, rho), (tau, sigma), and 1 elsewhere, all over 4."""
     G = klein()
     q = Fraction(1, 4)
     one = CycScalar.one()
     return {
-        G.e: {(G.e, G.e): one * q, (G.sigma, G.sigma): a * q,
-              (G.tau, G.tau): a * q, (G.rho, G.rho): a * q},
+        G.e: {(G.e, G.e): one * q, (G.sigma, G.sigma): diag * q,
+              (G.tau, G.tau): diag * q, (G.rho, G.rho): diag * q},
         G.sigma: {(G.e, G.sigma): one * q, (G.sigma, G.e): one * q,
-                  (G.tau, G.rho): one * q, (G.rho, G.tau): one * q},
+                  (G.tau, G.rho): one * q, (G.rho, G.tau): cyc * q},
         G.tau: {(G.e, G.tau): one * q, (G.tau, G.e): one * q,
-                (G.sigma, G.rho): one * q, (G.rho, G.sigma): one * q},
+                (G.sigma, G.rho): cyc * q, (G.rho, G.sigma): one * q},
         G.rho: {(G.e, G.rho): one * q, (G.rho, G.e): one * q,
-                (G.sigma, G.tau): one * q, (G.tau, G.sigma): one * q},
-    }
-
-
-def _klein_comult_mixed(d):
-    G = klein()
-    q = Fraction(1, 4)
-    one = CycScalar.one()
-    return {
-        G.e: {(G.e, G.e): one * q, (G.sigma, G.sigma): d * q,
-              (G.tau, G.tau): d * q, (G.rho, G.rho): d * q},
-        G.sigma: {(G.e, G.sigma): one * q, (G.sigma, G.e): one * q,
-                  (G.tau, G.rho): one * q, (G.rho, G.tau): d * q},
-        G.tau: {(G.e, G.tau): one * q, (G.tau, G.e): one * q,
-                (G.sigma, G.rho): d * q, (G.rho, G.sigma): one * q},
-        G.rho: {(G.e, G.rho): one * q, (G.rho, G.e): one * q,
-                (G.sigma, G.tau): one * q, (G.tau, G.sigma): d * q},
+                (G.sigma, G.tau): one * q, (G.tau, G.sigma): cyc * q},
     }
 
 
 def claim_weak_hopf_tables():
     G = klein()
     i = root_of_unity(4, 1)
+    diagonal = {(G.sigma, G.sigma), (G.tau, G.tau), (G.rho, G.rho)}
+    mixed = diagonal | {(G.sigma, G.rho), (G.tau, G.sigma), (G.rho, G.tau)}
     cases = []
     for a in (CycScalar.rational(-1), CycScalar.rational(2)):
         cases.append(
             (f"diagonal a={a}", klein_diagonal_twist(a),
-             _klein_mult_table_diagonal(a.inv()), _klein_comult_diagonal(a))
+             _klein_mult_table(a.inv(), diagonal), _klein_comult(a, CycScalar.one()))
         )
     for d in (i, CycScalar.rational(2)):
         cases.append(
             (f"mixed d={d}", klein_mixed_twist(d),
-             _klein_mult_table_mixed(d.inv()), _klein_comult_mixed(d))
+             _klein_mult_table(d.inv(), mixed), _klein_comult(d, d))
         )
     for name, built, mult, comult in cases:
         for key, (coeff, elem) in mult.items():
@@ -578,11 +536,14 @@ class Claim:
     fn: object
 
     def run(self) -> tuple[bool, str]:
+        """(passed, detail); a claim that crashes fails with the exception's type."""
         try:
             detail = self.fn()
             return True, detail or ""
         except ClaimFailure as exc:
             return False, str(exc)
+        except Exception as exc:
+            return False, f"{type(exc).__name__}: {exc}"
 
 
 CLAIMS = [

@@ -38,9 +38,21 @@ def test_mutated_table_fails_exactly_the_table_claim(monkeypatch):
 
 
 def test_full_report_structure():
-    report = run_claims(only="happy")
+    report = run_claims(only="transport")
     assert len(report.entries) == 1
     assert report.passed
     data = report.to_json()
-    assert data["claims"][0]["id"] == "C05"
+    assert data["claims"][0]["id"] == "C11"
     assert data["passed"] is True
+
+
+def test_crashing_claim_is_reported_not_raised(monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    claim = next(c for c in CLAIMS if c.claim_id == "C11")
+    monkeypatch.setattr(claim, "fn", crash)
+    assert claim.run() == (False, "RuntimeError: boom")
+    report = run_claims(only="transport")
+    assert not report.passed
+    assert report.to_json()["claims"][0]["detail"] == "RuntimeError: boom"

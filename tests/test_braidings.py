@@ -1,9 +1,11 @@
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from cocycle_lab import klein_tables
 from cocycle_lab.braidings import (
+    HEXAGONS,
     AbelianCocycle,
     QuadraticForm,
     abelian_coboundary,
@@ -16,6 +18,7 @@ from cocycle_lab.braidings import (
     cyclic_braiding,
     enumerate_klein_braidings,
     enumerate_quadratic_forms,
+    hexagon_failure,
     is_abelian_cocycle,
     is_quadratic_form,
     is_symmetric,
@@ -26,7 +29,7 @@ from cocycle_lab.braidings import (
     trace,
     transport_t_ab,
 )
-from cocycle_lab.cochains import Cochain, cyclic_phi_q
+from cocycle_lab.cochains import Cochain, cochain_exponents, cyclic_phi_q, law_rows
 from cocycle_lab.groups import cyclic, klein
 from cocycle_lab.klein import g_b, klein_2cochain, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
@@ -77,6 +80,49 @@ def test_abelian_coboundary(G, rng):
         abelian_coboundary(
             Cochain.from_function(G, 2, lambda x, y: 2 if x.is_identity else 1)
         )
+
+
+@pytest.mark.parametrize(
+    "subset", [set(c) for k in range(4) for c in combinations(("sigma", "tau", "rho"), k)]
+)
+def test_hexagon_failure_agrees_with_hexagon_rows(G, rng, subset):
+    # the first failure and the Z/m rows of the same two hexagon laws
+    phi = phi_X(subset)
+    known = {"phi": cochain_exponents(phi, 4)}
+    rows = [law_rows(hexagon, G, "R", 4, known) for hexagon in HEXAGONS]
+    candidates = [ac.R for _, ac in enumerate_klein_braidings(4) if ac.phi == phi]
+    candidates += [
+        Cochain.from_function(G, 2, lambda x, y: root_of_unity(4, rng.randrange(4)))
+        for _ in range(20)
+    ]
+    for R in candidates:
+        r = cochain_exponents(R, 4)
+        residuals = np.stack([(a @ r - b) % 4 for a, b in rows], axis=1).reshape(-1)
+        failure = hexagon_failure(phi, R)
+        if not residuals.any():
+            assert failure is None
+        else:
+            # points in tuples order, both hexagons at each point
+            first = int(np.nonzero(residuals)[0][0])
+            point = list(G.tuples(3))[first // 2]
+            assert failure == (first % 2 + 1, *point)
+
+
+def test_hexagon_failure_rejects_mismatched_cochains(G):
+    # C4 has as many elements as C2xC2, so only the group check can catch it
+    with pytest.raises(ValueError):
+        hexagon_failure(Cochain.constant(G, 3, 1), Cochain.constant(cyclic(4), 2, 1))
+    with pytest.raises(ValueError):
+        hexagon_failure(Cochain.constant(G, 2, 1), Cochain.constant(G, 2, 1))
+
+
+def test_tampered_pairs_fail_first_at_sigma_sigma_tau(G):
+    # the tampered E1 and A pairs of the oracle corpus
+    for label in ("E1", "A"):
+        ac = braiding_for_label(label)
+        tampered = dict(ac.R.values)
+        tampered[(G.sigma, G.tau)] = tampered[(G.sigma, G.tau)] * I
+        assert hexagon_failure(ac.phi, Cochain(G, 2, tampered)) == (1, G.sigma, G.sigma, G.tau)
 
 
 def test_trace_values(G):

@@ -130,7 +130,7 @@ def test_check_hexagon(tmp_path, capsys):
     assert code == 1
     result = json.loads(out)
     assert not result["hexagons_hold"] and not result["matrix_oracle"]
-    assert "first_failure" in result
+    assert result["first_failure"] == {"identity": 1, "triple": [[1, 0], [1, 0], [0, 1]]}
 
 
 def test_cohomology_command(capsys):
@@ -175,3 +175,21 @@ def test_verify_section(capsys):
 def test_unknown_group(capsys):
     code = main(["cohomology", "--group", "dihedral", "--modulus", "2"])
     assert code == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--group", "c2", "--modulus", "0"],
+        ["cohomology", "--group", "c2", "--modulus", "-3"],
+        ["cohomology", "--group", "c2", "--modulus", "2", "--degree", "0"],
+        ["generate", "--family", "g_b", "--b", "1/0"],
+    ],
+)
+def test_invalid_input_exits_with_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -20,7 +20,7 @@ from cocycle_lab.cochains import (
     is_normalized3,
     normalize3,
 )
-from cocycle_lab.groups import cyclic, klein
+from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.klein import g_b, h_a, klein_2cochain, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
 
@@ -259,11 +259,29 @@ def test_cohomology_reports():
         assert is_coboundary_mu(generator, 4) is None
 
 
+@pytest.mark.parametrize("orders", [(3,), (2, 2), (2, 4)])
+@pytest.mark.parametrize("m", [4, 12])
+def test_delta_agrees_with_boundary_matrix(orders, m, rng):
+    # the value map and the Z/m rows of one coboundary law
+    group = FiniteAbelianGroup(orders)
+    for n in (1, 2, 3):
+        c = Cochain.from_function(group, n, lambda *a: root_of_unity(m, rng.randrange(m)))
+        expected = boundary_matrix(group, n, m) @ cochain_exponents(c, m) % m
+        assert np.array_equal(cochain_exponents(c.delta(), m), expected)
+
+
+def test_cohomology_argument_guards():
+    assert cohomology(cyclic(2), 3, 1).invariant_factors == []
+    for n, m in ((3, 0), (3, -3), (0, 2)):
+        with pytest.raises(ValueError):
+            cohomology(cyclic(2), n, m)
+
+
 def test_cocycle_failure_reports_quadruple(G):
     broken = dict(Cochain.constant(G, 3, 1).values)
     broken[(G.sigma, G.sigma, G.sigma)] = CycScalar.rational(2)
     failure = cocycle3_failure(Cochain(G, 3, broken))
-    assert failure is not None and len(failure) == 4
+    assert failure == (G.sigma, G.sigma, G.sigma, G.sigma)
 
 
 def test_cochain_json_roundtrip(G):
