@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, GroupElement, cyclic
+from .groups import MATRIX_CELL_BOUND, FiniteAbelianGroup, GroupElement, cyclic
 from .scalars import CycScalar, as_root_exponent, coerce, root_of_unity
 from .zmodlin import (
     howell_form,
@@ -226,8 +226,10 @@ def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=N
     v is the exponent vector of slot ``unknown`` (values zeta_m^v); ``known``
     maps every other slot of the law to its exponent vector.
     """
-    points = np.arange(group.tuple_count(rule.arity))
     degree = next(len(words) for _, slot, words in rule.terms if slot == unknown)
+    if group.size ** (rule.arity + degree) > MATRIX_CELL_BOUND:
+        raise ValueError(f"a {group.size}^{rule.arity} x {group.size}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
+    points = np.arange(group.tuple_count(rule.arity))
     matrix = np.zeros((points.size, group.tuple_count(degree)), dtype=np.int64)
     rhs = np.zeros(points.size, dtype=np.int64)
     for sign, slot, flat in positions(rule, group):
@@ -452,15 +454,24 @@ class CohomologyReport:
 
 
 def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
-    """H^n(G, mu_m) = ker(delta_n) / im(delta_(n-1)) by exact Z/m reduction."""
+    """H^n(G, mu_m) = ker(delta_n) / im(delta_(n-1)) by exact Z/m reduction.
+
+    Normalized cochains (zero where an argument is e) form a subcomplex
+    quasi-isomorphic to the full one, so Z^n = Z^n_norm + B^n: the kernel is
+    solved on nondegenerate tuples only, then put in Howell form with B^n.
+    """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     outer = boundary_matrix(group, n, m)
-    inner = boundary_matrix(group, n - 1, m)
-    kernel = kernel_mod(outer, m)
-    image = inner.T % m
+    image = boundary_matrix(group, n - 1, m).T
+    # nondegenerate: no entry is the identity, element index 0
+    rows, columns = (np.indices((group.size,) * k).reshape(k, -1).all(axis=0) for k in (n + 1, n))
+    normalized = kernel_mod(outer[np.ix_(rows, columns)], m)
+    cocycles = np.zeros((normalized.shape[0], columns.size), dtype=np.int64)
+    cocycles[:, columns] = normalized
+    kernel = howell_form(np.vstack([cocycles, image]), m)
     factors, gen_vectors = quotient_invariant_factors(kernel, image, m)
     generators = [cochain_from_exponents(group, n, v, m) for v in gen_vectors]
     return CohomologyReport(

@@ -14,6 +14,7 @@ from math import gcd, prod
 import numpy as np
 
 TUPLE_ENUMERATION_BOUND = 10**8
+MATRIX_CELL_BOUND = 5 * 10**7  # cells of a dense int64 Z/m system: 400 MB
 
 _KLEIN_NAMES = {(0, 0): "e", (1, 0): "sigma", (0, 1): "tau", (1, 1): "rho"}
 

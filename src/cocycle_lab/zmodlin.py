@@ -4,17 +4,18 @@ The cohomology engine needs three primitives over Z/m where m need not be
 prime: a canonical spanning form for submodules of (Z/m)^n, exact solving
 of linear systems, and invariant factors of a quotient of nested
 submodules.  All three are built on the Howell form, the strong echelon
-form that is canonical over Z/m (Storjohann-Mulders).  The quotient step
-diagonalizes a relation matrix with Smith-style integer row/column
-operations; entries may be reduced mod m at any time because the relation
-lattice always contains m*Z^r, so everything stays in [0, m) and int64.
+form that is canonical over Z/m (Storjohann-Mulders), computed one pivot
+column per numpy step.  The quotient step diagonalizes a relation matrix
+with Smith-style integer row/column operations; entries may be reduced
+mod m at any time because the relation lattice always contains m*Z^r, so
+everything stays in [0, m) and int64, as the entry points check before
+allocating: m*m*(rows + columns) < 2^63.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -34,24 +35,43 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@lru_cache(maxsize=None)
-def _units(m: int) -> tuple[int, ...]:
-    return tuple(u for u in range(1, m) if gcd(u, m) == 1)
+def _check_modulus(m: int, count: int) -> None:
+    if m < 1:
+        raise ValueError(f"modulus must be a positive integer, got {m}")
+    if int(m) ** 2 * count >= 2**63:
+        raise ValueError(f"modulus {m} overflows int64 sums over {count} rows and columns")
 
 
-@lru_cache(maxsize=None)
 def _normalizing_unit(a: int, m: int) -> int:
-    """A unit u of Z/m with u*a = gcd(a, m) mod m."""
-    target = gcd(a, m)
-    for u in _units(m):
-        if (u * a) % m == target:
-            return u
-    raise ArithmeticError(f"no normalizing unit for {a} mod {m}")
+    """The smallest unit u with u*a = g = gcd(a, m) mod m: the first unit
+    among the solutions u0 + t*(m/g), u0 = (a/g)^(-1) mod m/g."""
+    g = gcd(a, m)
+    u = pow(a // g, -1, m // g)
+    while gcd(u, m) != 1:
+        u += m // g
+    return u
 
 
-def _leading(row: np.ndarray) -> int:
-    nz = np.nonzero(row)[0]
-    return int(nz[0])
+def _push(pending: dict, block: np.ndarray, start: int) -> None:
+    """File each nonzero row of ``block`` (first column ``start``) as its tail
+    from its leading column on."""
+    block = block[block.any(axis=1)]
+    if block.size:
+        leads = (block != 0).argmax(axis=1)
+        for lead in dict.fromkeys(leads.tolist()):
+            pending[start + lead].append(block[leads == lead, lead:])
+
+
+def _pivot_coefficients(column: list[int], m: int) -> list[int]:
+    """s with gcd(s . column, m) = gcd(column, m), by an early-stopping xgcd chain."""
+    target = gcd(*column, m)
+    s, g = [1], column[0]
+    for c in column[1:]:
+        if gcd(g, m) == target:
+            break
+        g, a, b = xgcd(g, c)
+        s = [a * x % m for x in s] + [b % m]
+    return s
 
 
 def howell_form(matrix, m: int) -> np.ndarray:
@@ -62,50 +82,52 @@ def howell_form(matrix, m: int) -> np.ndarray:
     property beyond echelon form: every element of the span whose leading
     entry sits in column >= j already lies in the span of the rows with
     pivot column >= j.
+
+    Column j is one step over the block of pending rows leading there: an
+    xgcd chain down its first column gives s, the pivot s @ block times a
+    unit leads with d = gcd(column, m), each row r becomes r - (r_j/d) *
+    pivot (r = rest + (r_j/d) * pivot keeps the span), and the annihilator
+    (m/d) * pivot joins the pending rows.
     """
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
-    ncols = a.shape[1]
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    # at most nrows + one annihilator per column are ever pending
+    _check_modulus(m, sum(a.shape))
     pending: dict[int, list[np.ndarray]] = defaultdict(list)
-    for row in a:
-        if row.any():
-            pending[_leading(row)].append(row.copy())
-    basis: list[np.ndarray] = []
-    for j in range(ncols):
-        rows = pending.pop(j, None)
-        if not rows:
+    _push(pending, a % m, 0)
+    pivots: list[tuple[int, np.ndarray]] = []
+    for j in range(a.shape[1]):
+        chunks = pending.pop(j, None)
+        if chunks is None:
             continue
-        piv = rows[0]
-        for r in rows[1:]:
-            pa, pb = int(piv[j]), int(r[j])
-            g, s, t = xgcd(pa, pb)
-            combined = (s * piv + t * r) % m
-            rest = ((pa // g) * r - (pb // g) * piv) % m
-            piv = combined
-            if rest.any():
-                pending[_leading(rest)].append(rest)
-        piv = (_normalizing_unit(int(piv[j]), m) * piv) % m
-        d = int(piv[j])
-        annihilated = ((m // d) * piv) % m
-        if annihilated.any():
-            pending[_leading(annihilated)].append(annihilated)
-        for row in basis:
-            q = int(row[j]) // d
-            if q:
-                row -= q * piv
-                row %= m
-        basis.append(piv)
-    if not basis:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(basis, dtype=np.int64)
+        block = chunks[0] if len(chunks) == 1 else np.vstack(chunks)
+        s = _pivot_coefficients(block[:, 0].tolist(), m)
+        pivot = (np.array(s, dtype=np.int64) @ block[: len(s)]) % m
+        pivot = (_normalizing_unit(int(pivot[0]), m) * pivot) % m
+        d = int(pivot[0])
+        if len(block) > 1:  # a lone row's rest is a multiple of the annihilator
+            _push(pending, (block[:, 1:] - (block[:, :1] // d) * pivot[1:]) % m, j + 1)
+        if d != 1:
+            _push(pending, ((m // d) * pivot[None, 1:]) % m, j + 1)
+        pivots.append((j, pivot))
+    basis = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    for k, (j, pivot) in enumerate(pivots):
+        basis[k, j:] = pivot
+        above = basis[:k, j] // pivot[0]
+        rows = np.nonzero(above)[0]
+        basis[rows, j:] = (basis[rows, j:] - above[rows, None] * pivot) % m
+    return basis
 
 
 def module_size(howell_rows: np.ndarray, m: int) -> int:
     """Number of elements of the module spanned by a Howell basis."""
-    size = 1
-    for row in np.atleast_2d(howell_rows):
-        if row.any():
-            size *= m // int(row[_leading(row)])
-    return size
+    return prod(m // int(row[np.flatnonzero(row)[0]]) for row in np.atleast_2d(howell_rows) if row.any())
+
+
+def _howell_of_transpose(matrix, m: int) -> tuple[int, np.ndarray]:
+    """(rows of A, Howell form of [A^T | I]) for A = matrix mod m."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    _check_modulus(m, a.shape[0] + 2 * a.shape[1])
+    return a.shape[0], howell_form(np.hstack([a.T % m, np.eye(a.shape[1], dtype=np.int64)]), m)
 
 
 def kernel_mod(matrix, m: int) -> np.ndarray:
@@ -115,33 +137,23 @@ def kernel_mod(matrix, m: int) -> np.ndarray:
     (matrix @ c | c), so the rows whose left block vanished carry kernel
     vectors -- and by the Howell property they generate the whole kernel.
     """
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
-    nrows, ncols = a.shape
-    aug = np.hstack([a.T, np.eye(ncols, dtype=np.int64)])
-    h = howell_form(aug, m)
-    kernel_rows = [row[nrows:] for row in h if not row[:nrows].any()]
-    if not kernel_rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(kernel_rows, dtype=np.int64)
+    nrows, h = _howell_of_transpose(matrix, m)
+    return h[~h[:, :nrows].any(axis=1), nrows:]
 
 
 def solve_mod(matrix, rhs, m: int) -> np.ndarray | None:
     """One solution x of matrix @ x = rhs over Z/m, or None."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
-    b = np.asarray(rhs, dtype=np.int64) % m
-    neqs, nvars = a.shape
-    aug = np.hstack([a.T, np.eye(nvars, dtype=np.int64)])
-    h = howell_form(aug, m)
-    residual = np.concatenate([b, np.zeros(nvars, dtype=np.int64)])
+    neqs, h = _howell_of_transpose(matrix, m)
+    residual = np.zeros(h.shape[1], dtype=np.int64)
+    residual[:neqs] = np.asarray(rhs, dtype=np.int64) % m
     for row in h:
-        j = _leading(row)
+        j = np.flatnonzero(row)[0]
         if j >= neqs:
             break
-        d = int(row[j])
-        rj = int(residual[j])
-        if rj % d:
+        q, r = divmod(int(residual[j]), int(row[j]))
+        if r:
             return None
-        residual = (residual - (rj // d) * row) % m
+        residual = (residual - q * row) % m
     if residual[:neqs].any():
         return None
     return (-residual[neqs:]) % m
@@ -155,12 +167,9 @@ def _diagonalize_with_basis(relations: np.ndarray, r: int, m: int):
     new basis in the original coordinates (mod m, which is all the
     quotient can see).
     """
-    a = np.atleast_2d(np.asarray(relations, dtype=np.int64)).copy() % m
-    if a.size == 0:
-        a = np.zeros((0, r), dtype=np.int64)
+    a = np.atleast_2d(np.asarray(relations, dtype=np.int64)) % m
     basis = np.eye(r, dtype=np.int64)
-    nrows = a.shape[0]
-    rank = 0
+    nrows, rank = a.shape[0], 0
     while rank < min(nrows, r):
         sub = a[rank:, rank:]
         if not sub.any():
@@ -169,39 +178,21 @@ def _diagonalize_with_basis(relations: np.ndarray, r: int, m: int):
         nz = np.nonzero(sub)
         k = int(np.argmin(sub[nz]))
         i, j = int(nz[0][k]) + rank, int(nz[1][k]) + rank
-        if i != rank:
-            a[[rank, i]] = a[[i, rank]]
-        if j != rank:
-            a[:, [rank, j]] = a[:, [j, rank]]
-            basis[[rank, j]] = basis[[j, rank]]
+        a[[rank, i]] = a[[i, rank]]
+        a[:, [rank, j]] = a[:, [j, rank]]
+        basis[[rank, j]] = basis[[j, rank]]
         p = int(a[rank, rank])
-        col = a[rank + 1:, rank]
-        row = a[rank, rank + 1:]
-        if not col.any() and not (row % p).any():
-            # clear the pivot row; column ops update the tracked basis
-            for jj in range(rank + 1, r):
-                q = int(a[rank, jj]) // p
-                if q:
-                    a[:, jj] = (a[:, jj] - q * a[:, rank]) % m
-                    basis[rank] = (basis[rank] + q * basis[jj]) % m
-            rank += 1
-            continue
-        # reduce column entries; remainders become new (smaller) pivots
-        for ii in range(rank + 1, nrows):
-            q = int(a[ii, rank]) // p
-            if q:
-                a[ii] = (a[ii] - q * a[rank]) % m
-        # reduce row entries mod p so a smaller entry surfaces if p divides none
-        for jj in range(rank + 1, r):
-            q = int(a[rank, jj]) // p
-            if q:
-                a[:, jj] = (a[:, jj] - q * a[:, rank]) % m
-                basis[rank] = (basis[rank] + q * basis[jj]) % m
-    orders = []
-    for i in range(r):
-        d = int(a[i, i]) if i < min(nrows, r) else 0
-        orders.append(m if d == 0 else gcd(d, m))
-    return orders, basis
+        cleared = not a[rank + 1:, rank].any() and not (a[rank, rank + 1:] % p).any()
+        if not cleared:
+            # reduce column entries; remainders become new (smaller) pivots
+            a[rank + 1:] = (a[rank + 1:] - np.outer(a[rank + 1:, rank] // p, a[rank])) % m
+        # reduce row entries mod p (clearing the row once the pivot is settled);
+        # column ops update the tracked basis
+        q = a[rank, rank + 1:] // p
+        a[:, rank + 1:] = (a[:, rank + 1:] - np.outer(a[:, rank], q)) % m
+        basis[rank] = (basis[rank] + q @ basis[rank + 1:]) % m
+        rank += cleared
+    return [gcd(int(a[i, i]) if i < nrows else 0, m) for i in range(r)], basis
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -229,14 +220,11 @@ def quotient_invariant_factors(
     k_basis = howell_form(span_rows, m)
     if k_basis.shape[0] == 0:
         return [], []
-    r, n = k_basis.shape
+    r = k_basis.shape[0]
     j_rows = np.atleast_2d(np.asarray(sub_rows, dtype=np.int64)) % m
-    if j_rows.size == 0:
-        j_rows = np.zeros((0, n), dtype=np.int64)
-    stacked = np.vstack([k_basis, j_rows])
+    stacked = np.vstack([k_basis, j_rows]) if j_rows.size else k_basis
     left_kernel = kernel_mod(stacked.T, m)
-    relation_coeffs = left_kernel[:, :r] if left_kernel.size else left_kernel.reshape(0, r)
-    orders, new_basis = _diagonalize_with_basis(relation_coeffs, r, m)
+    orders, new_basis = _diagonalize_with_basis(left_kernel[:, :r], r, m)
     # regroup cyclic orders into an invariant-factor chain, prime by prime
     slots: dict[int, list[tuple[int, int]]] = defaultdict(list)  # prime -> [(exp, pos)]
     for pos, c in enumerate(orders):

@@ -185,6 +185,10 @@ def test_unknown_group(capsys):
         ["cohomology", "--group", "c2", "--modulus", "-3"],
         ["cohomology", "--group", "c2", "--modulus", "2", "--degree", "0"],
         ["generate", "--family", "g_b", "--b", "1/0"],
+        # a 20^4 x 20^3 boundary matrix (~10 GB) is refused before it is built
+        ["cohomology", "--group", "c20", "--modulus", "20"],
+        # m^2 exceeds int64 before any row is combined
+        ["cohomology", "--group", "c2", "--modulus", "4294967311"],
     ],
 )
 def test_invalid_input_exits_with_one_error_line(capsys, argv):

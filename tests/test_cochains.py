@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +276,58 @@ def test_cohomology_argument_guards():
     for n, m in ((3, 0), (3, -3), (0, 2)):
         with pytest.raises(ValueError):
             cohomology(cyclic(2), n, m)
+
+
+def test_boundary_matrix_cell_bound_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cells"):
+            boundary_matrix(cyclic(20), 3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert boundary_matrix(cyclic(6), 3, 6).shape == (6**4, 6**3)
+
+
+# H^n(G, mu_m) reports and generator tables of the sequential full-cochain
+# computation, pinned so the normalized-cochain kernel must reproduce them.
+# A generator is written as its exponent table, one hex digit per tuple of
+# G^n in group.tuples order.
+PINNED_COHOMOLOGY = [
+    ((6,), 1, 12, [6], 6, 1, ["0a8642"]),
+    ((4,), 2, 8, [4], 4096, 1024, ["0000000100110111"]),
+    ((2, 2), 2, 4, [2, 2, 2], 512, 64,
+     ["0000000000110011", "0000000002020202", "0000010100000101"]),
+    ((2,), 4, 12, [2], 2985984, 1492992, ["0000000000000001"]),
+    ((3,), 4, 9, [3], 109418989131512359209, 36472996377170786403,
+     ["000000000000000000000000000000000000000000000000001011000000000000001011000001011"]),
+    ((2, 2), 3, 4, [2, 2, 2, 2], 134217728, 8388608,
+     ["0000000000000000000000000000000000000000002200220000000000220022",
+      "0000000000000000000000000000000000000000020202020000000002020202",
+      "0000000000000000000002020000020200000000000000000000020200000202",
+      "0000000000000000000000000000000000000101010102020000010101010202"]),
+    ((6,), 3, 12, [6], 1424257882798618837973701748588544, 237376313799769806328950291431424,
+     ["000000000000000000000000000000000000000000000000000000000000000000"
+      "0a86420000000000000000000000000a86420a86420000000000000000000a8642"
+      "0a86420a86420000000000000a86420a86420a86420a86420000000a86420a8642"
+      "0a86420a86420a8642"]),
+]
+
+
+@pytest.mark.parametrize("orders, n, m, factors, kernel, image, tables", PINNED_COHOMOLOGY)
+def test_cohomology_pinned(orders, n, m, factors, kernel, image, tables):
+    group = FiniteAbelianGroup(orders)
+    report = cohomology(group, n, m)
+    assert report.to_json() == {
+        "group": {"orders": list(orders)},
+        "degree": n,
+        "modulus": m,
+        "invariant_factors": factors,
+        "kernel_size": kernel,
+        "image_size": image,
+    }
+    assert ["".join(f"{e:x}" for e in cochain_exponents(g, m)) for g in report.generators] == tables
 
 
 def test_cocycle_failure_reports_quadruple(G):

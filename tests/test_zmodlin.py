@@ -1,7 +1,13 @@
+import random
+import tracemalloc
+from collections import defaultdict
+from math import gcd
+
 import numpy as np
 import pytest
 
 from cocycle_lab.zmodlin import (
+    _normalizing_unit,
     howell_form,
     kernel_mod,
     module_size,
@@ -119,3 +125,136 @@ def test_quotient_generator_order(rng):
         size_k = module_size(kernel, m)
         size_j = module_size(howell_form(span, m), m)
         assert np.prod(factors or [1]) == size_k // size_j
+
+
+# ----------------------------------------------------------------- #
+# differential oracle: the row-at-a-time Howell elimination
+# ----------------------------------------------------------------- #
+
+def _reference_unit(a, m):
+    target = gcd(a, m)
+    return next(u for u in range(1, m) if gcd(u, m) == 1 and (u * a) % m == target)
+
+
+def _reference_howell_form(matrix, m):
+    """Pending rows merged into the pivot one at a time, by xgcd pairs."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64)) % m
+    ncols = a.shape[1]
+    pending = defaultdict(list)
+    for row in a:
+        if row.any():
+            pending[int(np.nonzero(row)[0][0])].append(row.copy())
+    basis = []
+    for j in range(ncols):
+        rows = pending.pop(j, None)
+        if not rows:
+            continue
+        piv = rows[0]
+        for r in rows[1:]:
+            pa, pb = int(piv[j]), int(r[j])
+            g, s, t = xgcd(pa, pb)
+            combined = (s * piv + t * r) % m
+            rest = ((pa // g) * r - (pb // g) * piv) % m
+            piv = combined
+            if rest.any():
+                pending[int(np.nonzero(rest)[0][0])].append(rest)
+        piv = (_reference_unit(int(piv[j]), m) * piv) % m
+        d = int(piv[j])
+        annihilated = ((m // d) * piv) % m
+        if annihilated.any():
+            pending[int(np.nonzero(annihilated)[0][0])].append(annihilated)
+        for row in basis:
+            q = int(row[j]) // d
+            if q:
+                row -= q * piv
+                row %= m
+        basis.append(piv)
+    if not basis:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.array(basis, dtype=np.int64)
+
+
+def _random_matrices(m, seed):
+    rng = random.Random(seed)
+    yield np.zeros((0, 3), dtype=np.int64)
+    yield np.zeros((4, 5), dtype=np.int64)
+    for _ in range(40):
+        rows, cols = rng.randrange(0, 9), rng.randrange(1, 9)
+        density = rng.choice([0.2, 0.5, 1.0])
+        yield np.array(
+            [[rng.randrange(m) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)],
+            dtype=np.int64,
+        ).reshape(rows, cols)
+
+
+def _same_bytes(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 12, 27, 30, 36])
+def test_howell_form_matches_sequential_reference(m):
+    for a in _random_matrices(m, seed=m):
+        assert _same_bytes(howell_form(a, m), _reference_howell_form(a, m))
+        nrows = a.shape[0]
+        aug = np.hstack([a.T, np.eye(a.shape[1], dtype=np.int64)])
+        reference = _reference_howell_form(aug, m)
+        expected = np.array([row[nrows:] for row in reference if not row[:nrows].any()],
+                            dtype=np.int64).reshape(-1, a.shape[1])
+        kernel = kernel_mod(a, m)
+        assert np.array_equal(kernel, expected) and kernel.shape == expected.shape
+        assert not (a @ kernel.T % m).any()
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 9, 12, 30, 36])
+def test_solve_mod_residuals_against_reference_spans(m):
+    rng = random.Random(m)
+    for a in _random_matrices(m, seed=100 + m):
+        if not a.shape[0]:
+            continue
+        for b in (a @ np.array([rng.randrange(m) for _ in range(a.shape[1])]) % m,
+                  np.array([rng.randrange(m) for _ in range(a.shape[0])])):
+            x = solve_mod(a, b, m)
+            column_span = module_size(_reference_howell_form(a.T, m), m)
+            extended = module_size(_reference_howell_form(np.vstack([a.T, b]), m), m)
+            # b is in the column span of a exactly when adding it leaves the span unchanged
+            assert (x is not None) == (column_span == extended)
+            if x is not None:
+                assert not ((a @ x - b) % m).any()
+
+
+def test_normalizing_unit_is_the_smallest():
+    for m in range(2, 61):
+        for a in range(1, m):
+            assert _normalizing_unit(a, m) == _reference_unit(a, m)
+    m = 5 * 10**9 + 6
+    for a in (2, 6, 12345, m - 1):
+        u = _normalizing_unit(a, m)
+        assert gcd(u, m) == 1 and (u * a) % m == gcd(a, m)
+
+
+def test_howell_form_large_modulus():
+    # one xgcd step and one pivot normalization, with no enumeration of units
+    h = howell_form([[2, 3]], 10**7)
+    assert h.tolist() == [[2, 3], [0, 5 * 10**6]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, m: howell_form(a, m),
+    lambda a, m: kernel_mod(a, m),
+    lambda a, m: solve_mod(a, np.zeros(a.shape[0], dtype=np.int64), m),
+])
+def test_modulus_guard_refuses_before_allocating(call):
+    # a zero-stride view: reducing it mod m would allocate 32 MB, and
+    # m^2 times 4000 rows and columns overflows int64
+    a = np.broadcast_to(np.int64(1), (2000, 2000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflows int64"):
+            call(a, 2**31)
+        with pytest.raises(ValueError, match="positive"):
+            call(a, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
