@@ -1,9 +1,10 @@
 """Reassociators and twisted weak Hopf structures on group algebras.
 
-Two constructions live here.  First, for a cyclic or Klein group the
-group algebra k[G] is isomorphic to its dual through a discrete Fourier
-transform; pushing a 3-cocycle table through that isomorphism produces an
-invertible tensor in k[G]^(x3) satisfying the quasi-bialgebra pentagon
+Two constructions live here.  First, for any finite abelian group the
+group algebra k[G] is isomorphic to its dual through one discrete Fourier
+transform, applied to k[G]^(xk) one leg at a time; pushing a 3-cocycle
+table through it produces an invertible tensor in k[G]^(x3) satisfying
+the quasi-bialgebra pentagon
 
     (1 x Phi) ((id x D x id) Phi) (Phi x 1)
         = ((id x id x D) Phi) ((D x id x id) Phi)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .braidings import AbelianCocycle, abelian_coboundary
 from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain, first_failure, law
@@ -166,36 +167,61 @@ def _collect(group, arity: int, pairs) -> GroupAlgebraTensor:
     return GroupAlgebraTensor(group, arity, terms)
 
 
-def fourier_coefficients(t: GroupAlgebraTensor, conductor: int | None = None) -> list[CycScalar]:
-    """Character values of a tensor; all nonzero iff it is invertible."""
+def _is_primitive(xi: CycScalar, n: int) -> bool:
+    if not (xi**n).is_one():
+        return False
+    return all(not (xi**d).is_one() for d in range(1, n) if n % d == 0)
+
+
+def _characters(group: FiniteAbelianGroup, roots) -> dict:
+    """g -> sum_x chi_x(g) x with chi_x(g) = prod_i roots[i]^(x_i g_i), where
+    roots[i] is a primitive root of unity of the i-th factor's order."""
+    roots = [coerce(r) for r in roots]
+    if len(roots) != len(group.orders) or not all(
+        _is_primitive(r, n) for r, n in zip(roots, group.orders)
+    ):
+        raise ValueError("each root must be a primitive root of unity of its factor's order")
+    powers = [[r**k for k in range(n)] for r, n in zip(roots, group.orders)]
+
+    def chi(x, g):
+        factors = (p[a * b % len(p)] for p, a, b in zip(powers, x.exponents, g.exponents))
+        return prod(factors, start=CycScalar.one())
+
+    elements = group.elements()
+    return {g: GroupAlgebraTensor(group, 1, {(x,): chi(x, g) for x in elements}) for g in elements}
+
+
+def _legwise(t: GroupAlgebraTensor, images: dict) -> GroupAlgebraTensor:
+    """Apply the linear map g -> images[g] (an element of k[G]) on every leg of t."""
+    for leg in range(t.arity):
+        t = _collect(t.group, t.arity, (
+            (key[:leg] + h + key[leg + 1 :], coeff * value)
+            for key, coeff in t.terms.items()
+            for h, value in images[key[leg]].terms.items()
+        ))
+    return t
+
+
+def fourier_coefficients(t: GroupAlgebraTensor) -> list[CycScalar]:
+    """Character values of a tensor, one per tuple of characters in
+    ``group.tuples(arity)`` order; all nonzero iff it is invertible."""
     group = t.group
-    if conductor is None:
-        conductor = lcm(*group.orders, 1)
-    else:
-        conductor = lcm(conductor, *group.orders)
-    roots = {n: [root_of_unity(conductor, conductor // n * k) for k in range(n)] for n in set(group.orders)}
-    values = []
-    for chars in group.tuples(t.arity):
-        total = CycScalar.zero(conductor)
-        for key, coeff in t.terms.items():
-            char_value = CycScalar.one(conductor)
-            for chi, g in zip(chars, key):
-                for c_exp, g_exp, n in zip(chi.exponents, g.exponents, group.orders):
-                    char_value = char_value * roots[n][(c_exp * g_exp) % n]
-            total = total + coeff * char_value
-        values.append(total)
-    return values
+    conductor = lcm(*group.orders, *(c.conductor for c in t.terms.values()))
+    chars = _characters(group, [root_of_unity(n, 1) for n in group.orders])
+    values = _legwise(t, chars).terms
+    zero = CycScalar.zero(conductor)  # a vanishing value has no term left
+    return [values.get(key, zero).lift(conductor) for key in group.tuples(t.arity)]
 
 
-def is_invertible(t: GroupAlgebraTensor, conductor: int | None = None) -> bool:
-    return all(not v.is_zero() for v in fourier_coefficients(t, conductor))
+def is_invertible(t: GroupAlgebraTensor) -> bool:
+    return all(not v.is_zero() for v in fourier_coefficients(t))
 
 
-def is_harrison_3cocycle(phi_tensor: GroupAlgebraTensor, check_invertible: bool = True) -> bool:
+def is_harrison_3cocycle(phi_tensor: GroupAlgebraTensor) -> bool:
     """The quasi-bialgebra pentagon plus counit normalization in k[G]^(x4)."""
     if phi_tensor.arity != 3:
         raise ValueError("expected an arity-3 tensor")
-    if check_invertible and not is_invertible(phi_tensor):
+    if not is_invertible(phi_tensor):
         raise ValueError("the tensor is not invertible")
     group = phi_tensor.group
     one_leg = GroupAlgebraTensor.unit(group, 1)
@@ -214,21 +240,15 @@ def is_harrison_3cocycle(phi_tensor: GroupAlgebraTensor, check_invertible: bool 
 # dual-basis isomorphisms and reassociators
 # ----------------------------------------------------------------- #
 
-def cyclic_dual_idempotents(n: int, xi) -> list[GroupAlgebraTensor]:
-    """The images of the dual basis: (1/n) sum_s xi^((n-s) j) c^s for each j."""
-    xi = coerce(xi)
-    if not _is_primitive(xi, n):
-        raise ValueError("xi must be a primitive n-th root of unity")
-    group = cyclic(n)
-    elems = group.elements()
-    out = []
-    inv_n = Fraction(1, n)
-    for j in range(n):
-        terms = {
-            (elems[s],): xi ** (((n - s) * j) % n) * inv_n for s in range(n)
-        }
-        out.append(GroupAlgebraTensor(group, 1, terms))
-    return out
+def dual_idempotents(group: FiniteAbelianGroup, roots) -> dict:
+    """The images of the dual basis, x -> (1/|G|) sum_g chi_x(g)^-1 g.
+
+    These are the orthogonal idempotents of k[G] that sum to 1; roots[i]
+    is a primitive root of unity of the i-th factor's order.
+    """
+    chars = _characters(group, roots)
+    inv_size = Fraction(1, group.size)
+    return {x: chars[x.inverse()].scale(inv_size) for x in chars}  # chi_x(g)^-1 = chi_g(x^-1)
 
 
 def cyclic_character_table(n: int, xi, j: int) -> dict:
@@ -236,12 +256,6 @@ def cyclic_character_table(n: int, xi, j: int) -> dict:
     xi = coerce(xi)
     group = cyclic(n)
     return {x: xi ** ((j * x.exponents[0]) % n) for x in group.elements()}
-
-
-def _is_primitive(xi: CycScalar, n: int) -> bool:
-    if not (xi**n).is_one():
-        return False
-    return all(not (xi**d).is_one() for d in range(1, n) if n % d == 0)
 
 
 def reassociator_phi_l(n: int, l: int, xi) -> GroupAlgebraTensor:
@@ -291,30 +305,14 @@ def reassociator_phi_l(n: int, l: int, xi) -> GroupAlgebraTensor:
 def reassociator_transport_cyclic(n: int, l: int, xi) -> GroupAlgebraTensor:
     """The same reassociator built by pushing the step cocycle through the dual."""
     xi = coerce(xi)
-    phi = cyclic_phi_q(n, xi**l)
-    return _push_through_dual(phi, dict(zip(phi.group.elements(), cyclic_dual_idempotents(n, xi))))
+    return _push_through_dual(cyclic_phi_q(n, xi**l), [xi])
 
 
-def _push_through_dual(phi: Cochain, units: dict) -> GroupAlgebraTensor:
-    """sum of phi(x, y, z) u_x (x) u_y (x) u_z over the table of phi."""
-    total = GroupAlgebraTensor(phi.group, 3, {})
-    for (x, y, z), value in phi.values.items():
-        total = total + units[x].tensor(units[y]).tensor(units[z]).scale(value)
-    return total
-
-
-def klein_dual_units() -> dict:
-    """The orthogonal idempotents u_x of k[C2xC2], images of the dual basis."""
-    G = klein()
-    quarter = Fraction(1, 4)
-    units = {}
-    for x in G.elements():
-        terms = {}
-        for y in G.elements():
-            pairing = sum(a * b for a, b in zip(x.exponents, y.exponents)) % 2
-            terms[(y,)] = coerce(quarter if pairing == 0 else -quarter)
-        units[x] = GroupAlgebraTensor(G, 1, terms)
-    return units
+def _push_through_dual(phi: Cochain, roots) -> GroupAlgebraTensor:
+    """sum of phi(x, y, z) u_x (x) u_y (x) u_z over the table of phi: the
+    inverse transform, one leg at a time."""
+    table = GroupAlgebraTensor(phi.group, 3, phi.values)
+    return _legwise(table, dual_idempotents(phi.group, roots))
 
 
 def klein_reassociator(phi: Cochain) -> GroupAlgebraTensor:
@@ -324,7 +322,7 @@ def klein_reassociator(phi: Cochain) -> GroupAlgebraTensor:
     bad = cocycle3_failure(phi)
     if bad is not None:
         raise ValueError(f"input is not a 3-cocycle; fails at {bad}")
-    return _push_through_dual(phi, klein_dual_units())
+    return _push_through_dual(phi, [CycScalar.rational(-1)] * 2)
 
 
 def klein_minus_idempotent(x: GroupElement) -> GroupAlgebraTensor:
@@ -481,16 +479,17 @@ def check_weak_hopf(w: WeakBraidedHopf) -> HopfAxiomReport:
             break
 
     for x in group.elements():
-        comult = w.comultiplication[x]
-        first = GroupAlgebraTensor(group, 3, {})
-        second = GroupAlgebraTensor(group, 3, {})
-        for (u, v), coeff in comult.terms.items():
-            first = first + w.comultiplication[u].tensor(
-                GroupAlgebraTensor.monomial(group, (v,))
-            ).scale(coeff)
-            second = second + GroupAlgebraTensor.monomial(group, (u,)).tensor(
-                w.comultiplication[v]
-            ).scale(coeff)
+        comult = w.comultiplication[x].terms
+        first = _collect(group, 3, (
+            ((a, b, v), c * coeff)
+            for (u, v), coeff in comult.items()
+            for (a, b), c in w.comultiplication[u].terms.items()
+        ))
+        second = _collect(group, 3, (
+            ((u, a, b), coeff * c)
+            for (u, v), coeff in comult.items()
+            for (a, b), c in w.comultiplication[v].terms.items()
+        ))
         reassociated = GroupAlgebraTensor(
             group,
             3,

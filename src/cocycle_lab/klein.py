@@ -172,6 +172,11 @@ def happify(phi: Cochain) -> tuple[Cochain, Cochain]:
     bad = cocycle3_failure(phi)
     if bad is not None:
         raise ValueError(f"input is not a 3-cocycle; fails at {bad}")
+    return _happify(phi)
+
+
+def _happify(phi: Cochain) -> tuple[Cochain, Cochain]:
+    """happify without the input checks, for a known normalized Klein cocycle."""
     G = phi.group
     e, s, t, r = _named_elements(G)
     p = phi.values[(s, t, r)] * phi.values[(t, r, s)] * phi.values[(r, s, t)]
@@ -241,8 +246,8 @@ def classify(phi: Cochain) -> KleinCohomologyClass:
     class in the ambient cyclotomic field.
     """
     _require_klein3(phi)
-    normalized, _ = normalize3(phi)
-    happy, _ = happify(normalized)
+    normalized, _ = normalize3(phi)  # checks the cocycle law
+    happy, _ = _happify(normalized)
     params = happy_params(happy)
     b = params.b
     if b == 1:

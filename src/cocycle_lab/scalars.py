@@ -7,7 +7,9 @@ numerators over one positive denominator with gcd 1, so the
 representation is canonical and equality is structural.
 
 Values from different conductors are compared and combined by lifting
-both to Q(zeta_lcm) via zeta_N = zeta_M^(M/N).
+both to Q(zeta_lcm) via zeta_N = zeta_M^(M/N).  Inverses go through the
+Galois norm: x times the product of its other conjugates zeta -> zeta^a
+is a rational, so every field operation is integer polynomial work.
 """
 
 from __future__ import annotations
@@ -193,27 +195,29 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the Galois norm.
+
+        With x = n/den for an integer element n, the product P of the
+        conjugates n(zeta^a) over the units a != 1 mod N satisfies
+        n*P = norm(n), a nonzero integer, so x^-1 = den*P / norm(n).
+
+        >>> root_of_unity(4, 1).inv() == root_of_unity(4, 3)
+        True
+        """
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse in the field")
-        phi_n = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(x, self.den) for x in self.nums]
-        # invariant: s*a = r (mod Phi_N) for (r, s) and (r2, s2)
-        r, s = phi_n, [Fraction(0)]
-        r2, s2 = a, [Fraction(1)]
-        while any(r2):
-            q, rem = _frac_divmod(r, r2)
-            r, r2 = r2, rem
-            s, s2 = s2, _frac_sub(s, _frac_mul(q, s2))
-        # r is a nonzero constant: Phi_N is irreducible over Q
-        if len(_frac_trim(r)) != 1:
-            raise ArithmeticError(f"gcd with Phi_{self.conductor} is not a constant")
-        c = r[0]
-        inv_nums = [x / c for x in s]
-        den = 1
-        for x in inv_nums:
-            den = lcm(den, x.denominator)
-        return CycScalar(self.conductor, [int(x * den) for x in inv_nums], den)
+        n = self.conductor
+        others = [1]
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                conjugate = [0] * n
+                for i, x in enumerate(self.nums):
+                    conjugate[a * i % n] = x
+                others = list(CycScalar(n, _poly_mul(others, conjugate)).nums)
+        norm = CycScalar(n, _poly_mul(list(self.nums), others))
+        if not norm.is_rational():
+            raise ArithmeticError(f"the norm to Q from Q(zeta_{n}) is not rational")
+        return CycScalar(n, [x * self.den for x in others], norm.nums[0])
 
     def __truediv__(self, other) -> "CycScalar":
         a, b = self._pair(other)
@@ -286,51 +290,6 @@ class CycScalar:
         for c in coeffs:
             den = lcm(den, c.denominator)
         return cls(n, [int(c * den) for c in coeffs], den)
-
-
-# ----------------------------------------------------------------- #
-# rational-coefficient polynomial helpers for inv()
-# ----------------------------------------------------------------- #
-
-def _frac_trim(a: list[Fraction]) -> list[Fraction]:
-    out = list(a)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _frac_trim(out)
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _frac_trim(out)
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _frac_trim(list(b))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(_frac_trim(a)) >= len(b):
-        a = _frac_trim(a)
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-    return _frac_trim(q), _frac_trim(a)
 
 
 # ----------------------------------------------------------------- #

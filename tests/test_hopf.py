@@ -1,22 +1,24 @@
+import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cocycle_lab.braidings import is_abelian_cocycle
-from cocycle_lab.cochains import Cochain
+from cocycle_lab.cochains import Cochain, cyclic_phi_q
 from cocycle_lab.groups import cyclic
 from cocycle_lab.hopf import (
     GroupAlgebraTensor,
     check_weak_hopf,
     cyclic_character_table,
     cyclic_comult_crosscheck,
-    cyclic_dual_idempotents,
     cyclic_power_twist,
+    dual_idempotents,
+    fourier_coefficients,
     is_harrison_3cocycle,
     is_invertible,
     klein_diagonal_twist,
-    klein_dual_units,
     klein_minus_idempotent,
     klein_mixed_twist,
     klein_reassociator,
@@ -24,10 +26,11 @@ from cocycle_lab.hopf import (
     reassociator_transport_cyclic,
     weak_hopf_build,
 )
-from cocycle_lab.klein import g_b, h_a, phi_X
+from cocycle_lab.klein import NAMES, g_b, h_a, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
 
 I = root_of_unity(4, 1)
+SIGNS = [CycScalar.rational(-1)] * 2  # the Klein characters take values +-1
 
 
 def unit(group, arity):
@@ -71,36 +74,36 @@ def test_tensor_ring_axioms(G, rng):
 
 def test_cyclic_dual_idempotents():
     C2 = cyclic(2)
-    idem = cyclic_dual_idempotents(2, CycScalar.rational(-1))
-    assert idem[1] == p_minus(C2)
-    assert idem[0] + idem[1] == unit(C2, 1)
-    z3 = root_of_unity(3, 1)
-    idem = cyclic_dual_idempotents(3, z3)
-    zero = GroupAlgebraTensor(cyclic(3), 1, {})
-    for j in range(3):
-        for k in range(3):
-            expected = idem[j] if j == k else zero
-            assert idem[j] * idem[k] == expected
-    assert sum(idem[1:], idem[0]) == unit(cyclic(3), 1)
+    idem = dual_idempotents(C2, [CycScalar.rational(-1)])
+    assert idem[C2.generator()] == p_minus(C2)
+    assert idem[C2.identity()] + idem[C2.generator()] == unit(C2, 1)
+    C3 = cyclic(3)
+    idem = dual_idempotents(C3, [root_of_unity(3, 1)])
+    zero = GroupAlgebraTensor(C3, 1, {})
+    for x in C3.elements():
+        for y in C3.elements():
+            expected = idem[x] if x == y else zero
+            assert idem[x] * idem[y] == expected
+    assert sum(idem.values(), zero) == unit(C3, 1)
     with pytest.raises(ValueError):
-        cyclic_dual_idempotents(4, CycScalar.rational(-1))
+        dual_idempotents(cyclic(4), [CycScalar.rational(-1)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_dual_iso_roundtrip(n):
     xi = root_of_unity(n, 1) if n > 2 else CycScalar.rational(-1)
     group = cyclic(n)
-    idem = cyclic_dual_idempotents(n, xi)
+    idem = dual_idempotents(group, [xi])
     for j in range(n):
         table = cyclic_character_table(n, xi, j)
         total = GroupAlgebraTensor(group, 1, {})
-        for s, elem in enumerate(group.elements()):
-            total = total + idem[s].scale(table[elem])
+        for elem in group.elements():
+            total = total + idem[elem].scale(table[elem])
         assert total == GroupAlgebraTensor.monomial(group, (group.element([j]),))
 
 
 def test_klein_dual_units(G):
-    units = klein_dual_units()
+    units = dual_idempotents(G, SIGNS)
     total = GroupAlgebraTensor(G, 1, {})
     for x in G.elements():
         assert units[x] * units[x] == units[x]
@@ -112,6 +115,48 @@ def test_klein_dual_units(G):
     quarter = Fraction(1, 4)
     assert units[G.e] == GroupAlgebraTensor(
         G, 1, {(x,): quarter for x in G.elements()}
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fourier_inverts_the_dual_transport(n):
+    # the character values of sum phi(x,y,z) u_x u_y u_z are the table of phi
+    zeta = root_of_unity(n, 1)
+    for l in range(n):
+        transported = reassociator_transport_cyclic(n, l, zeta)
+        assert fourier_coefficients(transported) == cyclic_phi_q(n, zeta**l).dense()
+
+
+def test_transport_requires_primitive_root():
+    with pytest.raises(ValueError):
+        reassociator_transport_cyclic(4, 1, CycScalar.rational(-1))
+
+
+def _sha1_of_json(tensors):
+    text = json.dumps([t.to_json() for t in tensors], sort_keys=True)
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_reassociator_json_pinned():
+    # sha1s of the to_json() of every reassociator the C12/C13 claims build,
+    # recorded from the earlier implementation with one DFT per group family
+    def cyclic_corpus(builder):
+        out = []
+        for n in (2, 3, 4, 5):
+            xi = root_of_unity(n, 1) if n > 2 else CycScalar.rational(-1)
+            out += [builder(n, l, xi) for l in range(n)]
+        return out
+
+    sources = [phi_X(frozenset(s)) for k in range(4) for s in combinations(NAMES, k)]
+    sources.append(h_a(-1) * g_b(-1) * phi_X({"sigma", "tau"}))
+    assert _sha1_of_json(cyclic_corpus(reassociator_phi_l)) == (
+        "997c37636b0efa0638c2cf95c10cedd3663b9a3c"
+    )
+    assert _sha1_of_json(cyclic_corpus(reassociator_transport_cyclic)) == (
+        "b969af30b49b8072b254296fec7463af78e0baa2"
+    )
+    assert _sha1_of_json([klein_reassociator(phi) for phi in sources]) == (
+        "abc1ace9e7c973f327d842623fb2b0af6b905459"
     )
 
 
@@ -136,7 +181,7 @@ def test_reassociator_closed_equals_transport(n):
 def test_harrison_matches_cocycle_law_on_transports(G):
     # the pentagon for a dual-transported table is equivalent to the
     # scalar 3-cocycle law of the table it came from
-    units = klein_dual_units()
+    units = dual_idempotents(G, SIGNS)
 
     def push(table):
         total = GroupAlgebraTensor(G, 3, {})
@@ -161,7 +206,7 @@ def test_harrison_examples(G):
     # pushing a non-cocycle table through the dual basis breaks the pentagon
     table = dict(phi_X(frozenset()).values)
     table[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
-    units = klein_dual_units()
+    units = dual_idempotents(G, SIGNS)
     bad = GroupAlgebraTensor(G, 3, {})
     for (x, y, z), value in table.items():
         bad = bad + units[x].tensor(units[y]).tensor(units[z]).scale(value)

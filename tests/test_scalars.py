@@ -155,3 +155,30 @@ def test_str_forms():
     assert str(root_of_unity(4, 3)) == "-i"
     assert str(CycScalar.rational(Fraction(-7, 2))) == "-7/2"
     assert str(root_of_unity(8, 1)) == "zeta8"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 15])
+def test_inverse_matches_sympy(n, rng):
+    # differential oracle: sympy's inverse modulo its own cyclotomic polynomial
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.cyclotomic_poly(n, x)
+    degree = sympy.degree(modulus, x)
+    values = [root_of_unity(n, k) for k in range(n)]
+    while len(values) < n + 12:
+        nums = [rng.randint(-6, 6) for _ in range(rng.randint(1, degree + 2))]
+        value = CycScalar(n, nums, rng.randint(1, 7))
+        if not value.is_zero():
+            values.append(value)
+    for value in values:
+        poly = sum(
+            sympy.Rational(c.numerator, c.denominator) * x**i
+            for i, c in enumerate(value.coefficients())
+        )
+        expected = sympy.Poly(sympy.invert(poly, modulus, x), x).all_coeffs()[::-1]
+        expected += [0] * (degree - len(expected))
+        got = [sympy.Rational(c.numerator, c.denominator) for c in value.inv().coefficients()]
+        assert got == expected, value
+        assert (value * value.inv()).is_one()
+    with pytest.raises(ZeroDivisionError):
+        CycScalar.zero(n).inv()
