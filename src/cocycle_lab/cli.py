@@ -22,7 +22,7 @@ from .braidings import (
 )
 from .cochains import (
     Cochain,
-    cocycle3_failure,
+    NotACocycle,
     cohomology,
     cyclic_phi_q,
     cyclic_qabc,
@@ -118,15 +118,15 @@ def cmd_classify(args) -> int:
     if table.group.orders != (2, 2) or table.degree != 3:
         print("input must be a degree-3 cochain on the [2,2] group", file=sys.stderr)
         return 1
-    bad = cocycle3_failure(table)
-    if bad is not None:
+    try:
+        result = classify(table)  # checks the cocycle law once
+    except NotACocycle as failure:
         print(
             "not a 3-cocycle; first failing quadruple: "
-            + str([g.to_json() for g in bad]),
+            + str([g.to_json() for g in failure.point]),
             file=sys.stderr,
         )
         return 1
-    result = classify(table)
     _emit(result.to_json())
     return 2 if result.b_class == "undecided" else 0
 

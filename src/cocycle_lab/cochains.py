@@ -9,7 +9,12 @@ n = 3 it is the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt)
 table, and every use is one of three derivations:
 
   first_failure -- first point where the + and - products differ, exactly
-                   (``cocycle3_failure``);
+                   (``cocycle3_failure``).  When every value of every table
+                   is a root of unity (observed from the input), each value
+                   is zeta_m^k with m = lcm(2, the conductors), and a law is
+                   checked at all points at once as a signed sum of exponent
+                   arrays mod m; any other value keeps the CycScalar products.
+                   Both report the same (law index, point);
   evaluate      -- the signed product at every point (``Cochain.delta``);
   law_rows      -- the Z/m system in the exponents of one unknown slot
                    (``boundary_matrix``).
@@ -24,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -190,7 +196,11 @@ def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
 
     ``tables`` maps each slot to its dense values.  Points are visited in
     ``group.tuples`` order and, at each point, the laws in the given order.
+    When every value is a root of unity the laws are checked on exponents.
     """
+    exponents = _root_exponents(tables)
+    if exponents is not None:
+        return _first_failure_mu(laws, group, *exponents)
     sides = []
     for rule in laws:
         terms = [(sign, tables[slot], flat.tolist()) for sign, slot, flat in positions(rule, group)]
@@ -201,6 +211,44 @@ def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
             if lhs != reduce(mul, [table[flat[index]] for table, flat in minus]):
                 return which, point
     return None
+
+
+def _root_exponents(tables: dict):
+    """(m, slot -> exponents mod m) when every value is a root of unity, else None.
+
+    A root of unity in Q(zeta_N) lies in mu_lcm(2, N), so m = lcm(2, the
+    conductors) holds every value of every table.
+    """
+    values = [v for table in tables.values() for v in table]
+    if not all(isinstance(v, CycScalar) for v in values):
+        return None
+    m = lcm(2, *(v.conductor for v in values))
+    exponents = {}
+    for slot, table in tables.items():
+        column = [as_root_exponent(v, m) for v in table]
+        if None in column:
+            return None
+        exponents[slot] = np.array(column, dtype=np.int64)
+    return m, exponents
+
+
+def _first_failure_mu(laws, group: FiniteAbelianGroup, m: int, exponents: dict):
+    """first_failure on exponent tables: a law holds where its signed sum is 0 mod m."""
+    failing = []
+    for rule in laws:
+        total = 0
+        for sign, slot, flat in positions(rule, group):
+            total = total + sign * exponents[slot][flat]
+        failing.append(total % m != 0)
+    failing = np.array(failing)
+    columns = failing.any(axis=0)
+    if not columns.any():
+        return None
+    index = int(columns.argmax())
+    size, elements = group.size, group.elements()
+    arity = laws[0].arity
+    point = tuple(elements[index // size ** (arity - 1 - p) % size] for p in range(arity))
+    return int(failing[:, index].argmax()), point
 
 
 def evaluate(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
@@ -317,15 +365,23 @@ def is_normalized2(psi: Cochain) -> bool:
     )
 
 
+class NotACocycle(ValueError):
+    """A degree-3 table that breaks the cocycle law; ``point`` is the first quadruple."""
+
+    def __init__(self, point):
+        super().__init__(f"input is not a 3-cocycle; fails at {point}")
+        self.point = point
+
+
 def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
     """Normalized representative phi * delta2(g) and the witness g.
 
     The witness is g(x, y) = phi(e, e, y)^(-1) phi(x, e, e); for a cocycle
-    the product is normalized.
+    the product is normalized.  A non-cocycle raises ``NotACocycle``.
     """
     bad = cocycle3_failure(phi)
     if bad is not None:
-        raise ValueError(f"input is not a 3-cocycle; fails at {bad}")
+        raise NotACocycle(bad)
     e = phi.group.identity()
     witness = Cochain.from_function(
         phi.group, 2, lambda x, y: phi.values[(e, e, y)].inv() * phi.values[(x, e, e)]

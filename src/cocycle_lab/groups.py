@@ -27,16 +27,18 @@ class GroupElement:
     True
     """
 
-    __slots__ = ("group", "exponents")
+    __slots__ = ("group", "exponents", "_hash")
 
     def __init__(self, group: "FiniteAbelianGroup", exponents):
         self.group = group
         self.exponents = tuple(
-            int(e) % n for e, n in zip(exponents, group.orders, strict=True)
+            [int(e) % n for e, n in zip(exponents, group.orders, strict=True)]
         )
+        # elements are dict keys millions of times per check: hash once
+        self._hash = hash((group.orders, self.exponents))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
+        if other.group.orders != self.group.orders:
             raise ValueError("elements of different groups cannot be composed")
         return GroupElement(
             self.group, [a + b for a, b in zip(self.exponents, other.exponents)]
@@ -58,12 +60,12 @@ class GroupElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupElement)
-            and self.group == other.group
             and self.exponents == other.exponents
+            and self.group.orders == other.group.orders
         )
 
     def __hash__(self) -> int:
-        return hash((self.group.orders, self.exponents))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.group.orders == (2, 2):

@@ -7,9 +7,14 @@ numerators over one positive denominator with gcd 1, so the
 representation is canonical and equality is structural.
 
 Values from different conductors are compared and combined by lifting
-both to Q(zeta_lcm) via zeta_N = zeta_M^(M/N).  Inverses go through the
-Galois norm: x times the product of its other conjugates zeta -> zeta^a
-is a rational, so every field operation is integer polynomial work.
+both to Q(zeta_lcm) via zeta_N = zeta_M^(M/N); a rational factor only
+scales.  A product on one conductor N is one convolution of the two
+coordinate vectors and one reduction of its powers x^(deg+k), k < deg - 1,
+through a table of their residues mod Phi_N, built once per conductor.
+Inverses go through the Galois norm: x times the product of its other
+conjugates zeta -> zeta^a is a rational, so every field operation is
+integer polynomial work.  ``as_root_exponent`` looks the coordinates up in
+a per-(m, conductor) table of the m-th roots of unity.
 """
 
 from __future__ import annotations
@@ -27,17 +32,6 @@ def _poly_trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
 
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -77,6 +71,28 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k: the nonzero (j, c) of x^(deg+k) mod Phi_n, for k < deg - 1.
+
+    These are the powers a product of two reduced values can reach.
+
+    >>> _reduction(3)  # x^2 = -1 - x
+    (((0, -1), (1, -1)),)
+    """
+    phi_n = list(cyclotomic_polynomial(n))
+    deg = len(phi_n) - 1
+    rows = []
+    power = [-c for c in phi_n[:-1]]  # x^deg, as Phi_n is monic
+    for _ in range(deg - 1):
+        rows.append(tuple((j, c) for j, c in enumerate(power) if c))
+        top = power[-1]  # x * power, then x^deg replaced as above
+        power = [0] + power[:-1]
+        if top:
+            power = [p - top * c for p, c in zip(power, phi_n)]
+    return tuple(rows)
+
+
 class CycScalar:
     """An exact element of Q(zeta_N).
 
@@ -99,17 +115,18 @@ class CycScalar:
         nums = nums + [0] * (deg - len(nums))
         if den < 0:
             den, nums = -den, [-x for x in nums]
-        g = den
-        for x in nums:
-            g = gcd(g, x)
-            if g == 1:
-                break
+        self._set(conductor, nums, den)
+
+    def _set(self, conductor: int, nums: list[int], den: int) -> "CycScalar":
+        """Store reduced coordinates over a positive den, in lowest terms."""
+        g = gcd(den, *nums)
         if g > 1:
             den //= g
             nums = [x // g for x in nums]
         self.conductor = conductor
         self.nums = tuple(nums)
         self.den = den
+        return self
 
     # -- constructors ------------------------------------------------ #
 
@@ -129,15 +146,13 @@ class CycScalar:
     # -- structure --------------------------------------------------- #
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.nums)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.nums[0] == 1 and all(
-            x == 0 for x in self.nums[1:]
-        )
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.nums[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction | None:
         if self.is_rational():
@@ -187,10 +202,34 @@ class CycScalar:
         return (-self) + other
 
     def __mul__(self, other) -> "CycScalar":
-        a, b = self._pair(other)
-        return CycScalar(
-            a.conductor, _poly_mul(list(a.nums), list(b.nums)), a.den * b.den
-        )
+        if not isinstance(other, CycScalar):
+            other = CycScalar.rational(other)
+        x, y = self.nums, other.nums
+        deg = len(x)
+        if other.conductor != self.conductor:
+            if len(y) == 1 and self.conductor % other.conductor == 0:
+                nums = [c * y[0] for c in x]  # a rational factor: scale
+            elif deg == 1 and other.conductor % self.conductor == 0:
+                return other * self
+            else:
+                a, b = self._pair(other)
+                return a * b
+        elif deg == 1:
+            nums = [x[0] * y[0]]
+        else:
+            # one convolution, then one reduction of the powers >= deg
+            full = [0] * (2 * deg - 1)
+            for i, c in enumerate(x):
+                if c:
+                    for j, d in enumerate(y, i):
+                        full[j] += c * d
+            nums = full[:deg]
+            for c, row in zip(full[deg:], _reduction(self.conductor)):
+                if c:
+                    for j, r in row:
+                        nums[j] += c * r
+        # already reduced and den > 0: skip the validating constructor
+        return object.__new__(CycScalar)._set(self.conductor, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -207,17 +246,17 @@ class CycScalar:
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse in the field")
         n = self.conductor
-        others = [1]
+        others = CycScalar.one(n)
         for a in range(2, n):
             if gcd(a, n) == 1:
                 conjugate = [0] * n
                 for i, x in enumerate(self.nums):
                     conjugate[a * i % n] = x
-                others = list(CycScalar(n, _poly_mul(others, conjugate)).nums)
-        norm = CycScalar(n, _poly_mul(list(self.nums), others))
+                others = others * CycScalar(n, conjugate)
+        norm = CycScalar(n, self.nums) * others
         if not norm.is_rational():
             raise ArithmeticError(f"the norm to Q from Q(zeta_{n}) is not rational")
-        return CycScalar(n, [x * self.den for x in others], norm.nums[0])
+        return CycScalar(n, [x * self.den for x in others.nums], norm.nums[0])
 
     def __truediv__(self, other) -> "CycScalar":
         a, b = self._pair(other)
@@ -240,9 +279,12 @@ class CycScalar:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, CycScalar):
+            if other.conductor == self.conductor:
+                return self.nums == other.nums and self.den == other.den
+        elif isinstance(other, (int, Fraction)):
             other = CycScalar.rational(other)
-        if not isinstance(other, CycScalar):
+        else:
             return NotImplemented
         a, b = self._pair(other)
         return a.nums == b.nums and a.den == b.den
@@ -311,18 +353,21 @@ def root_of_unity(conductor: int, k: int = 1) -> CycScalar:
 
 
 @lru_cache(maxsize=None)
-def _mu_lifted(m: int, conductor: int) -> tuple[CycScalar, ...]:
-    return tuple(root_of_unity(m, k).lift(conductor) for k in range(m))
+def _roots(m: int, conductor: int) -> dict[tuple[int, ...], int]:
+    """zeta_m^k in Q(zeta_conductor), by its numerators (its den is 1) -> k."""
+    return {root_of_unity(m, k).lift(conductor).nums: k for k in range(m)}
 
 
 def as_root_exponent(x: CycScalar, m: int) -> int | None:
-    """The exponent k in [0, m) with x = zeta_m^k, or None."""
+    """The exponent k in [0, m) with x = zeta_m^k, or None.
+
+    >>> as_root_exponent(root_of_unity(3, 2), 6)
+    4
+    """
+    if x.den != 1:
+        return None
     n = lcm(x.conductor, m)
-    lifted = x.lift(n)
-    for k, power in enumerate(_mu_lifted(m, n)):
-        if lifted == power:
-            return k
-    return None
+    return _roots(m, n).get(x.lift(n).nums)
 
 
 def is_square_in_mu(x: CycScalar, m: int) -> bool:

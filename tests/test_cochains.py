@@ -1,11 +1,17 @@
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
 
+from cocycle_lab.braidings import HEXAGONS, enumerate_klein_braidings
 from cocycle_lab.cochains import (
+    COCYCLE_LAW,
     Cochain,
+    NotACocycle,
+    _root_exponents,
     boundary_matrix,
     cochain_exponents,
     cocycle3_failure,
@@ -15,6 +21,7 @@ from cocycle_lab.cochains import (
     cyclic_qabc_coboundary_witness,
     delta2,
     delta3,
+    first_failure,
     is_coboundary_mu,
     is_cocycle3,
     is_normalized2,
@@ -351,3 +358,116 @@ def test_cochain_validation(G):
     values[(G.e, G.e)] = CycScalar.zero()
     with pytest.raises(ValueError):
         Cochain(G, 2, values)
+
+
+def object_first_failure(laws, group, tables):
+    """first_failure by CycScalar products, point by point in tuples order."""
+    index = {g: i for i, g in enumerate(group.elements())}
+
+    def value(slot, args):
+        flat = reduce(lambda acc, g: acc * group.size + index[g], args, 0)
+        return tables[slot][flat]
+
+    for point in group.tuples(laws[0].arity):
+        for which, rule in enumerate(laws):
+            sides = {1: [], -1: []}
+            for sign, slot, words in rule.terms:
+                args = [reduce(mul, (point[p] for p in word)) for word in words]
+                sides[sign].append(value(slot, args))
+            if reduce(mul, sides[1]) != reduce(mul, sides[-1]):
+                return which, point
+    return None
+
+
+def tampers(cochain, factor):
+    """Each single-cell change of a cochain by ``factor``, as dense tables."""
+    dense = cochain.dense()
+    for k in range(len(dense)):
+        yield dense[:k] + [dense[k] * factor] + dense[k + 1:]
+
+
+def test_first_failure_on_tampered_klein_cocycles(G):
+    i = root_of_unity(4, 1)
+    for phi in (phi_X(set()), phi_X({"sigma", "rho"}), g_b(i)):
+        for factor in (i, CycScalar.rational(-1)):
+            for dense in tampers(phi, factor):
+                tables = {"f": dense}
+                assert _root_exponents(tables) is not None  # the exponent path
+                expected = object_first_failure([COCYCLE_LAW], G, tables)
+                assert expected is not None
+                assert first_failure([COCYCLE_LAW], G, tables) == expected
+
+
+def test_first_failure_on_tampered_census_r_matrices(G):
+    i = root_of_unity(4, 1)
+    for _, ac in enumerate_klein_braidings(4):
+        for dense in tampers(ac.R, i):
+            tables = {"phi": ac.phi.dense(), "R": dense}
+            assert _root_exponents(tables) is not None
+            expected = object_first_failure(HEXAGONS, G, tables)
+            assert expected is not None
+            assert first_failure(HEXAGONS, G, tables) == expected
+
+
+def minimal_conductor(value):
+    """Rational values moved to conductor 1, so tables mix conductors."""
+    q = value.as_rational()
+    return value if q is None else CycScalar.rational(q)
+
+
+@pytest.mark.parametrize(
+    "orders, roots",
+    [((3,), (3,)), ((6,), (6,)), ((6,), (3, 2)), ((2, 4), (4,)), ((2, 4), (8,)), ((3,), (3, 2))],
+)
+def test_first_failure_on_random_mu_tables(orders, roots, rng):
+    # cocycles delta(g) of random mu-valued g, then one random cell changed
+    group = FiniteAbelianGroup(orders)
+
+    def root():  # a sign is an int, so it keeps the conductor of the root
+        return reduce(mul, (rng.choice((1, -1)) if n == 2 else root_of_unity(n, rng.randrange(n))
+                            for n in roots))
+
+    for trial in range(4):
+        g = Cochain.from_function(group, 2, lambda x, y: root())
+        dense = [minimal_conductor(v) for v in g.delta().dense()]
+        if trial:
+            k = rng.randrange(len(dense))
+            change = root()
+            dense[k] = minimal_conductor(dense[k] * (change if not change.is_one() else CycScalar.rational(-1)))
+        tables = {"f": dense}
+        exponents = _root_exponents(tables)
+        assert exponents is not None
+        expected = object_first_failure([COCYCLE_LAW], group, tables)
+        assert (expected is None) == (trial == 0)
+        assert first_failure([COCYCLE_LAW], group, tables) == expected
+    conductors = {v.conductor for v in dense}
+    if roots == (3, 2):
+        assert conductors == {1, 3} and exponents[0] == 6
+
+
+def test_first_failure_falls_back_on_non_roots(G):
+    i = root_of_unity(4, 1)
+    base = phi_X({"sigma"}).dense()
+    for k in (0, 9, 30, 63):
+        for j in (5, 40):
+            dense = list(base)
+            dense[j] = dense[j] * i
+            dense[k] = dense[k] * CycScalar.rational(2)
+            tables = {"f": dense}
+            assert _root_exponents(tables) is None  # the object path
+            expected = object_first_failure([COCYCLE_LAW], G, tables)
+            assert first_failure([COCYCLE_LAW], G, tables) == expected
+    # a non-root value that the laws do not read still selects the object path
+    tables = {"f": phi_X(set()).dense(), "unused": [CycScalar.rational(3)]}
+    assert _root_exponents(tables) is None
+    assert first_failure([COCYCLE_LAW], G, tables) is None
+
+
+def test_normalize3_reports_the_first_failure(G):
+    broken = phi_X(set()).dense()
+    broken[21] = broken[21] * root_of_unity(4, 1)
+    phi = Cochain.from_dense(G, 3, broken)
+    with pytest.raises(NotACocycle) as failure:
+        normalize3(phi)
+    assert failure.value.point == cocycle3_failure(phi)
+    assert isinstance(failure.value, ValueError)

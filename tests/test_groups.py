@@ -1,6 +1,6 @@
 import pytest
 
-from cocycle_lab.groups import FiniteAbelianGroup, cyclic, tuples
+from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein, tuples
 
 
 def test_klein_named_elements(G):
@@ -92,3 +92,16 @@ def test_json_roundtrip(G):
 def test_mixed_group_composition_rejected(G):
     with pytest.raises(ValueError):
         G.sigma * cyclic(2).generator()
+
+
+def test_equal_groups_give_one_dict_key():
+    first, second, named = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2)), klein()
+    assert first is not second and first is not named
+    for exponents in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        keys = [group.element(exponents) for group in (first, second, named)]
+        assert len({hash(key) for key in keys}) == 1
+        assert hash(keys[0]) == hash(((2, 2), exponents))  # set and dict orders unchanged
+        table = {keys[0]: exponents}
+        assert table[keys[1]] == table[keys[2]] == exponents
+    assert {first.sigma * second.tau: 1} == {named.rho: 1}
+    assert len({first.sigma, second.sigma, named.sigma, named.element((3, 2))}) == 1

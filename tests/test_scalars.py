@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from cocycle_lab.scalars import (
     CycScalar,
     as_root_exponent,
+    _reduction,
     cyclotomic_polynomial,
     is_square_in_mu,
     rational_is_square_in_field,
@@ -182,3 +184,63 @@ def test_inverse_matches_sympy(n, rng):
         assert (value * value.inv()).is_one()
     with pytest.raises(ZeroDivisionError):
         CycScalar.zero(n).inv()
+
+
+def poly_mul(a, b):
+    """Dense product of two integer coefficient lists, ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def reference_product(a, b):
+    """The product by full polynomial multiplication, reduced by the constructor."""
+    n = lcm(a.conductor, b.conductor)
+    return CycScalar(n, poly_mul(a.lift(n).nums, b.lift(n).nums), a.den * b.den)
+
+
+def random_value(rng, n):
+    nums = [rng.randint(-6, 6) for _ in range(rng.randint(0, n + 2))]
+    if rng.random() < 0.15:
+        nums = []  # zero
+    return CycScalar(n, nums, rng.choice([1, 1, 2, 3, 4, 9, 12, -5]))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_product_matches_reference(n, rng):
+    # same conductor (the reduction table), mixed conductors (lift first), zeros
+    partners = (n, n, 1, 2, 3, 4, 6, 2 * n)
+    for _ in range(60):
+        a = random_value(rng, n)
+        b = random_value(rng, rng.choice(partners))
+        for x, y in ((a, b), (b, a)):
+            product, expected = x * y, reference_product(x, y)
+            assert (product.conductor, product.nums, product.den) == (
+                expected.conductor, expected.nums, expected.den)
+    for k in range(n):
+        z = root_of_unity(n, k)
+        assert (z * z).nums == reference_product(z, z).nums
+
+
+def test_reduction_rows_are_powers_mod_phi():
+    for n in range(1, 25):
+        phi_n = cyclotomic_polynomial(n)
+        deg = len(phi_n) - 1
+        for k, row in enumerate(_reduction(n)):
+            dense = [0] * deg
+            for j, c in row:
+                dense[j] = c
+            assert CycScalar(n, [0] * (deg + k) + [1]).nums == tuple(dense)
+        assert len(_reduction(n)) == max(deg - 1, 0)
+
+
+def test_as_root_exponent_matches_scan():
+    for c in (1, 2, 3, 4, 5, 6, 8, 12):
+        values = [sign * root_of_unity(c, k) for k in range(c) for sign in (1, -1)]
+        values += [2 * root_of_unity(c, 1), root_of_unity(c, 1) / 2, 1 + root_of_unity(c, 1)]
+        for m in (1, 2, 3, 4, 6, 8, 12, 24):
+            for x in values:
+                scan = next((k for k in range(m) if root_of_unity(m, k) == x), None)
+                assert as_root_exponent(x, m) == scan
