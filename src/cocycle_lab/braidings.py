@@ -6,25 +6,29 @@ laws declared here (see ``cochains.Law``) are HEXAGONS, R_PSI (the
 R-matrix psi(x,y)^-1 psi(y,x) of a 2-cochain) and QUADRATIC_FORM, the
 seven-term identity.  ``hexagon_failure`` and ``is_quadratic_form`` take
 their first failure, ``abelian_coboundary`` the value map of R_PSI, and
-``abelian_cohomologous`` and ``count_hexagon_solutions_mu`` their Z/m rows.
+``abelian_cohomologous``, ``count_hexagon_solutions_mu`` and
+``enumerate_quadratic_forms`` their Z/m rows.
 
 The Eilenberg-Mac Lane trace Q(x) = R(x,x) identifies cohomology classes
-of such pairs with quadratic forms; this module enumerates the full Klein
-census, decides cohomologousness by linear algebra over Z/m, and carries
-an independent matrix-level oracle that checks pentagon/hexagon coherence
-by composing explicit (sparse) matrices.
+of such pairs with quadratic forms.  Both laws are linear in exponents:
+this module counts mu_m R-matrices, lists mu_m quadratic forms and decides
+cohomologousness over Z/m, labels the Klein census, and carries an
+independent matrix-level oracle that checks pentagon/hexagon coherence by
+composing explicit (sparse) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from math import gcd
 
 import numpy as np
 
 from . import klein_tables
 from .cochains import (
     Cochain,
+    _root_exponents,
     boundary_matrix,
     cochain_exponents,
     cochain_from_exponents,
@@ -34,12 +38,13 @@ from .cochains import (
     is_normalized2,
     law,
     law_rows,
+    nondegenerate,
     pullback,
 )
 from .groups import FiniteAbelianGroup, cyclic, klein
 from .klein import phi_X, projection_to_c2
 from .scalars import CycScalar, as_root_exponent, coerce, root_of_unity
-from .zmodlin import solve_mod
+from .zmodlin import kernel_mod, module_size, solve_mod
 
 HEXAGONS = (
     law("+R(xy,z) +phi(x,z,y) -phi(x,y,z) -R(x,z) -phi(z,x,y) -R(y,z)"),
@@ -126,18 +131,12 @@ class QuadraticForm:
     __hash__ = None
 
     def order(self) -> int:
-        """Order under pointwise multiplication."""
-        k = 1
-        current = self
-        identity = QuadraticForm(
-            self.group, {x: CycScalar.one() for x in self.group.elements()}
-        )
-        while current != identity:
-            current = current * self
-            k += 1
-            if k > 64:
-                raise ArithmeticError("order computation runaway")
-        return k
+        """Order under pointwise multiplication: m / gcd(m, exponents) for values in mu_m."""
+        roots = _root_exponents({"Q": list(self.values.values())})
+        if roots is None:
+            raise ArithmeticError("a value of the form is not a root of unity")
+        m, exponents = roots
+        return m // gcd(m, *exponents["Q"].tolist())
 
 
 def trace(ac: AbelianCocycle) -> QuadraticForm:
@@ -159,29 +158,26 @@ def is_quadratic_form(Q: QuadraticForm) -> bool:
     return first_failure([QUADRATIC_FORM], Q.group, {"Q": dense}) is None
 
 
-def klein_quadratic_form_criteria(Q: QuadraticForm) -> bool:
-    """The three-condition test special to C2xC2 (agrees with the general one)."""
-    G = Q.group
-    if G.orders != (2, 2):
-        raise ValueError("this criterion is specific to C2xC2")
-    v = Q.values
-    if not v[G.e].is_one():
-        return False
-    if any(not (v[x] ** 4).is_one() for x in (G.sigma, G.tau, G.rho)):
-        return False
-    return (v[G.sigma] ** 2 * v[G.tau] ** 2 * v[G.rho] ** 2).is_one()
-
-
 def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list[QuadraticForm]:
-    """Brute-force census of quadratic forms with values in mu_conductor."""
+    """All quadratic forms with values in mu_conductor, in lexicographic order of exponents.
+
+    In exponents the forms are the kernel over Z/conductor of the
+    seven-term rows and the rows Q(x^-1) - Q(x).  Each kernel element is
+    sum c_i h_i for exactly one choice of 0 <= c_i < conductor / pivot_i
+    over the rows h_i of its Howell basis.
+    """
+    eye = np.eye(group.size, dtype=np.int64)
+    inverse = (group.cayley_table() == 0).argmax(axis=1)  # x * x^-1 = e, index 0
+    rows = np.vstack([law_rows(QUADRATIC_FORM, group, "Q", conductor)[0], eye[inverse] - eye])
+    kernel = kernel_mod(rows, conductor)
+    ranges = [range(conductor // int(h[np.flatnonzero(h)[0]])) for h in kernel]
+    coefficients = np.array(list(_cartesian(*ranges)), dtype=np.int64)  # (1, 0) for {0}
+    exponents = sorted(map(tuple, (coefficients @ kernel % conductor).tolist()))
     elements = group.elements()
-    mu = [root_of_unity(conductor, k) for k in range(conductor)]
-    forms = []
-    for assignment in _cartesian(mu, repeat=len(elements)):
-        Q = QuadraticForm(group, dict(zip(elements, assignment)))
-        if is_quadratic_form(Q):
-            forms.append(Q)
-    return forms
+    return [
+        QuadraticForm(group, {x: root_of_unity(conductor, k) for x, k in zip(elements, vec)})
+        for vec in exponents
+    ]
 
 
 # ----------------------------------------------------------------- #
@@ -331,32 +327,25 @@ def transport_t_ab(i: int, ac: AbelianCocycle) -> AbelianCocycle:
 # ----------------------------------------------------------------- #
 
 def abelian_cohomologous(ac1: AbelianCocycle, ac2: AbelianCocycle, m: int) -> Cochain | None:
-    """A normalized psi with ac1/ac2 = (delta2(psi), R_psi), or None.
+    """A psi, 1 on pairs containing e, with ac1/ac2 = (delta2(psi), R_psi), or None.
 
     The condition is linear in the exponents of psi once all values of the
-    quotient pair lie in mu_m.
+    quotient pair lie in mu_m.  Solving for strictly normalized psi loses
+    nothing: delta2 and R_psi ignore a constant factor.
     """
     if ac1.group != ac2.group:
         raise ValueError("pairs must live on the same group")
     group = ac1.group
-    size = group.size
     quotient = ac1 * ac2.inv()
-    # normalization: psi(e, x) and psi(x, e) (flat positions x, x*|G|) equal psi(e, e)
-    unit_pairs = [k for x in range(1, size) for k in (x, x * size)]
-    normalization = np.zeros((len(unit_pairs), size * size), dtype=np.int64)
-    normalization[np.arange(len(unit_pairs)), unit_pairs] = 1
-    normalization[:, 0] -= 1
-    rows = np.vstack(
-        [boundary_matrix(group, 2, m), law_rows(R_PSI, group, "psi", m)[0], normalization]
-    )
-    rhs = np.concatenate(
-        [cochain_exponents(quotient.phi, m), cochain_exponents(quotient.R, m),
-         np.zeros(len(unit_pairs), dtype=np.int64)]
-    )
-    solution = solve_mod(rows, rhs, m)
+    free = nondegenerate(group, 2)
+    rows = np.vstack([boundary_matrix(group, 2, m), law_rows(R_PSI, group, "psi", m)[0]])
+    rhs = np.concatenate([cochain_exponents(quotient.phi, m), cochain_exponents(quotient.R, m)])
+    solution = solve_mod(rows[:, free], rhs, m)
     if solution is None:
         return None
-    psi = cochain_from_exponents(group, 2, solution, m)
+    exponents = np.zeros(group.tuple_count(2), dtype=np.int64)
+    exponents[free] = solution
+    psi = cochain_from_exponents(group, 2, exponents, m)
     rebuilt = abelian_coboundary(psi)
     if rebuilt.phi != quotient.phi or rebuilt.R != quotient.R:
         raise RuntimeError("linear engine returned an invalid witness")
@@ -364,38 +353,23 @@ def abelian_cohomologous(ac1: AbelianCocycle, ac2: AbelianCocycle, m: int) -> Co
 
 
 # ----------------------------------------------------------------- #
-# exhaustive mu_m search for R-matrices over a fixed cocycle
+# mu_m R-matrices over a fixed cocycle, counted over Z/m
 # ----------------------------------------------------------------- #
 
 def count_hexagon_solutions_mu(phi: Cochain, m: int = 4) -> int:
     """Number of mu_m-valued R-matrices solving both hexagons for phi.
 
-    R is forced to 1 on pairs containing e; the remaining (|G|-1)^2
-    entries range over all of mu_m, and every candidate is tested against
-    the (linear, in exponents) hexagon identities, vectorized over the
-    full candidate set.
+    R is forced to 1 on pairs containing e.  The hexagons are linear in
+    the exponents of the other (|G|-1)^2 entries, so the solutions are
+    empty or a coset of the kernel over Z/m, which has as many elements.
     """
     group = phi.group
-    size = group.size
     known = {"phi": cochain_exponents(phi, m)}
     blocks = [law_rows(hexagon, group, "R", m, known) for hexagon in HEXAGONS]
-    # both hexagons at each point in turn; R(x, y) = 1 when x or y is e
-    free = [x * size + y for x in range(1, size) for y in range(1, size)]
-    matrix = np.stack([a for a, _ in blocks], axis=1).reshape(-1, size * size)[:, free]
-    rhs = np.stack([b for _, b in blocks], axis=1).reshape(-1)
-    nvars = len(free)
-    total = m**nvars
-    candidates = np.arange(total)
-    assignments = np.empty((nvars, total), dtype=np.int16)
-    for i in range(nvars):
-        assignments[i] = (candidates // m**i) % m
-    alive = np.ones(total, dtype=bool)
-    for row, b in zip(matrix, rhs):
-        if not alive.any():
-            break
-        used = np.nonzero(row)[0]
-        alive[alive] = (row[used].astype(np.int16) @ assignments[used][:, alive] - b) % m == 0
-    return int(alive.sum())
+    matrix = np.vstack([a for a, _ in blocks])[:, nondegenerate(group, 2)]
+    if solve_mod(matrix, np.concatenate([b for _, b in blocks]), m) is None:
+        return 0
+    return module_size(kernel_mod(matrix, m), m)
 
 
 # ----------------------------------------------------------------- #

@@ -449,6 +449,15 @@ def cyclic_twist_cochain(n: int, q) -> Cochain:
 # the additive Z/m engine
 # ----------------------------------------------------------------- #
 
+def nondegenerate(group: FiniteAbelianGroup, n: int) -> np.ndarray:
+    """Flat positions, in ``group.tuples(n)`` order, of the tuples with no entry e.
+
+    These index the unknowns of a strictly normalized cochain, which is 1
+    wherever an argument is the identity (element index 0).
+    """
+    return np.flatnonzero(np.indices((group.size,) * n).reshape(n, -1).all(axis=0))
+
+
 def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
     """Matrix of the degree-n coboundary on exponent vectors over Z/m.
 
@@ -522,10 +531,9 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     outer = boundary_matrix(group, n, m)
     image = boundary_matrix(group, n - 1, m).T
-    # nondegenerate: no entry is the identity, element index 0
-    rows, columns = (np.indices((group.size,) * k).reshape(k, -1).all(axis=0) for k in (n + 1, n))
+    rows, columns = nondegenerate(group, n + 1), nondegenerate(group, n)
     normalized = kernel_mod(outer[np.ix_(rows, columns)], m)
-    cocycles = np.zeros((normalized.shape[0], columns.size), dtype=np.int64)
+    cocycles = np.zeros((normalized.shape[0], outer.shape[1]), dtype=np.int64)
     cocycles[:, columns] = normalized
     kernel = howell_form(np.vstack([cocycles, image]), m)
     factors, gen_vectors = quotient_invariant_factors(kernel, image, m)

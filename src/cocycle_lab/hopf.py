@@ -251,13 +251,6 @@ def dual_idempotents(group: FiniteAbelianGroup, roots) -> dict:
     return {x: chars[x.inverse()].scale(inv_size) for x in chars}  # chi_x(g)^-1 = chi_g(x^-1)
 
 
-def cyclic_character_table(n: int, xi, j: int) -> dict:
-    """The algebra map c^s -> xi^(js), the image of c^j in the dual."""
-    xi = coerce(xi)
-    group = cyclic(n)
-    return {x: xi ** ((j * x.exponents[0]) % n) for x in group.elements()}
-
-
 def reassociator_phi_l(n: int, l: int, xi) -> GroupAlgebraTensor:
     """The closed-form reassociator on k[C_n] indexed by l in [0, n).
 

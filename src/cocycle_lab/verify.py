@@ -564,7 +564,8 @@ CLAIMS = [
     Claim("C08", "braidings", "symmetric structures",
           "exactly I, AB, AC, BC are symmetric", claim_symmetry),
     Claim("C09", "braidings", "odd obstruction",
-          "odd sign cocycles admit no mu_4 R-matrix (exhaustive 4^9)", claim_odd_obstruction),
+          "odd sign cocycles admit no mu_4 R-matrix (exact Z/4 solve over all 4^9)",
+          claim_odd_obstruction),
     Claim("C10", "oracle", "matrix oracle agreement",
           "categorical pentagon/hexagon matrices agree with scalar laws", claim_oracle_agreement),
     Claim("C11", "transport", "transports from C2",

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -24,17 +25,122 @@ from cocycle_lab.braidings import (
     is_symmetric,
     klein_braiding_phiX,
     klein_braiding_trivial,
-    klein_quadratic_form_criteria,
     qf_label,
     trace,
     transport_t_ab,
 )
 from cocycle_lab.cochains import Cochain, cochain_exponents, cyclic_phi_q, law_rows
-from cocycle_lab.groups import cyclic, klein
-from cocycle_lab.klein import g_b, klein_2cochain, phi_X
+from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
+from cocycle_lab.klein import g_b, h_a, klein_2cochain, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
 
 I = root_of_unity(4, 1)
+SUBSETS = [set(c) for k in range(4) for c in combinations(("sigma", "tau", "rho"), k)]
+
+
+# ----------------------------------------------------------------- #
+# test-only oracles: exhaustive searches and the Klein criterion
+# ----------------------------------------------------------------- #
+
+def bruteforce_hexagon_count(phi: Cochain, m: int = 4) -> int:
+    """count_hexagon_solutions_mu by testing all m^((|G|-1)^2) candidates at once."""
+    group = phi.group
+    size = group.size
+    known = {"phi": cochain_exponents(phi, m)}
+    blocks = [law_rows(hexagon, group, "R", m, known) for hexagon in HEXAGONS]
+    # both hexagons at each point in turn; R(x, y) = 1 when x or y is e
+    free = [x * size + y for x in range(1, size) for y in range(1, size)]
+    matrix = np.stack([a for a, _ in blocks], axis=1).reshape(-1, size * size)[:, free]
+    rhs = np.stack([b for _, b in blocks], axis=1).reshape(-1)
+    nvars = len(free)
+    total = m**nvars
+    candidates = np.arange(total)
+    assignments = np.empty((nvars, total), dtype=np.int16)
+    for i in range(nvars):
+        assignments[i] = (candidates // m**i) % m
+    alive = np.ones(total, dtype=bool)
+    for row, b in zip(matrix, rhs):
+        if not alive.any():
+            break
+        used = np.nonzero(row)[0]
+        alive[alive] = (row[used].astype(np.int16) @ assignments[used][:, alive] - b) % m == 0
+    return int(alive.sum())
+
+
+def bruteforce_quadratic_forms(group, conductor: int) -> list[QuadraticForm]:
+    """enumerate_quadratic_forms by testing all conductor^|G| candidates."""
+    elements = group.elements()
+    mu = [root_of_unity(conductor, k) for k in range(conductor)]
+    forms = []
+    for assignment in product(mu, repeat=len(elements)):
+        Q = QuadraticForm(group, dict(zip(elements, assignment)))
+        if is_quadratic_form(Q):
+            forms.append(Q)
+    return forms
+
+
+def klein_quadratic_form_criteria(Q: QuadraticForm) -> bool:
+    """The three-condition test special to C2xC2 (agrees with the general one)."""
+    G = Q.group
+    if G.orders != (2, 2):
+        raise ValueError("this criterion is specific to C2xC2")
+    v = Q.values
+    if not v[G.e].is_one():
+        return False
+    if any(not (v[x] ** 4).is_one() for x in (G.sigma, G.tau, G.rho)):
+        return False
+    return (v[G.sigma] ** 2 * v[G.tau] ** 2 * v[G.rho] ** 2).is_one()
+
+
+HEXAGON_CASES = (
+    [(f"phi_X({','.join(sorted(s))})", lambda s=s: phi_X(s), 4) for s in SUBSETS]
+    + [("g_b(i)", lambda: g_b(I), 4), ("g_b(-1)", lambda: g_b(-1), 4),
+       ("h_a(i)", lambda: h_a(I), 4), ("phi_X()", lambda: phi_X(set()), 2)]
+    + [(f"C{n}:q=zeta{n}^{k}", lambda n=n, k=k: cyclic_phi_q(n, root_of_unity(n, k)), m)
+       for n, m in ((2, 4), (3, 3), (3, 9), (4, 4)) for k in range(n)]
+)
+
+
+@pytest.mark.parametrize("build, m", [case[1:] for case in HEXAGON_CASES],
+                         ids=[f"{name}/mu{m}" for name, _, m in HEXAGON_CASES])
+def test_hexagon_count_agrees_with_bruteforce(build, m):
+    phi = build()
+    assert count_hexagon_solutions_mu(phi, m) == bruteforce_hexagon_count(phi, m)
+
+
+def _scalars(Q: QuadraticForm) -> list:
+    return [(v.conductor, v.nums, v.den) for v in (Q.values[x] for x in Q.group.elements())]
+
+
+@pytest.mark.parametrize("orders, conductor", [
+    ((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 2), 8),
+    ((2,), 4), ((3,), 3), ((3,), 9), ((4,), 8), ((5,), 5),
+])
+def test_quadratic_forms_agree_with_bruteforce(orders, conductor):
+    group = FiniteAbelianGroup(orders)
+    forms = enumerate_quadratic_forms(group, conductor)
+    expected = bruteforce_quadratic_forms(group, conductor)
+    assert [_scalars(Q) for Q in forms] == [_scalars(Q) for Q in expected]
+
+
+@pytest.mark.parametrize("orders, m, r_matrices, forms", [
+    ((4,), 8, 4, 8), ((5,), 5, 5, 5), ((6,), 6, 6, 6),
+    ((2, 4), 4, 32, 32), ((3, 3), 3, 81, 27), ((2, 2, 2), 4, 512, 512),
+])
+def test_closed_forms_beyond_the_enumeration(orders, m, r_matrices, forms):
+    # over the trivial cocycle the R-matrices are Hom(G (x) G, mu_m); the
+    # exhaustive searches would need m^((|G|-1)^2) and m^|G| candidates
+    group = FiniteAbelianGroup(orders)
+    trivial = Cochain.constant(group, 3, 1)
+    for call, expected in ((lambda: count_hexagon_solutions_mu(trivial, m), r_matrices),
+                           (lambda: len(enumerate_quadratic_forms(group, m)), forms)):
+        tracemalloc.start()
+        try:
+            assert call() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 def random_mu4_normalized(rng):
@@ -82,9 +188,7 @@ def test_abelian_coboundary(G, rng):
         )
 
 
-@pytest.mark.parametrize(
-    "subset", [set(c) for k in range(4) for c in combinations(("sigma", "tau", "rho"), k)]
-)
+@pytest.mark.parametrize("subset", SUBSETS)
 def test_hexagon_failure_agrees_with_hexagon_rows(G, rng, subset):
     # the first failure and the Z/m rows of the same two hexagon laws
     phi = phi_X(subset)
@@ -173,6 +277,13 @@ def test_quadratic_form_census(G):
     assert len(enumerate_quadratic_forms(G, 2)) == 8
     orders = sorted(Q.order() for Q in forms)
     assert orders == [1] + [2] * 7 + [4] * 24
+    # Q(c^k) = zeta_128^(k^2) on C64 has order 128
+    c64 = cyclic(64)
+    wide = QuadraticForm(c64, {x: root_of_unity(128, x.exponents[0] ** 2 % 128)
+                               for x in c64.elements()})
+    assert is_quadratic_form(wide) and wide.order() == 128
+    with pytest.raises(ArithmeticError):
+        QuadraticForm(G, {x: CycScalar.rational(2) for x in G.elements()}).order()
     # the census is exactly the image of the braiding representatives
     traces = [trace(ac) for _, ac in enumerate_klein_braidings(4)]
     for Q in forms:

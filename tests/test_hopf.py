@@ -11,7 +11,6 @@ from cocycle_lab.groups import cyclic
 from cocycle_lab.hopf import (
     GroupAlgebraTensor,
     check_weak_hopf,
-    cyclic_character_table,
     cyclic_comult_crosscheck,
     cyclic_power_twist,
     dual_idempotents,
@@ -27,7 +26,7 @@ from cocycle_lab.hopf import (
     weak_hopf_build,
 )
 from cocycle_lab.klein import NAMES, g_b, h_a, phi_X
-from cocycle_lab.scalars import CycScalar, root_of_unity
+from cocycle_lab.scalars import CycScalar, coerce, root_of_unity
 
 I = root_of_unity(4, 1)
 SIGNS = [CycScalar.rational(-1)] * 2  # the Klein characters take values +-1
@@ -87,6 +86,13 @@ def test_cyclic_dual_idempotents():
     assert sum(idem.values(), zero) == unit(C3, 1)
     with pytest.raises(ValueError):
         dual_idempotents(cyclic(4), [CycScalar.rational(-1)])
+
+
+def cyclic_character_table(n: int, xi, j: int) -> dict:
+    """The algebra map c^s -> xi^(js), the image of c^j in the dual."""
+    xi = coerce(xi)
+    group = cyclic(n)
+    return {x: xi ** ((j * x.exponents[0]) % n) for x in group.elements()}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
