@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -440,6 +440,7 @@ def cyclic_qabc_coboundary_witness(n: int, q) -> Cochain:
 
 def cyclic_twist_cochain(n: int, q) -> Cochain:
     """The 2-cochain (c^a, c^b) -> q^(-(a-1)ab/2) on C_n."""
+    q = coerce(q)
     return Cochain.from_function(
         cyclic(n), 2, lambda x, y: q ** (-(x.exponents[0] - 1) * x.exponents[0] * y.exponents[0] // 2)
     )

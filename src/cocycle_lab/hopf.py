@@ -9,9 +9,12 @@ the quasi-bialgebra pentagon
     (1 x Phi) ((id x D x id) Phi) (Phi x 1)
         = ((id x id x D) Phi) ((D x id x id) Phi)
 
-with D the diagonal coproduct D(g) = g x g.  Second, a normalized
-2-cochain F twists k[G] into the weak braided Hopf algebra with product
-x*y = F(x,y) xy and averaged coproduct
+with D the diagonal coproduct D(g) = g x g.  Characters are algebra maps
+that turn D into chi_x x chi_y -> chi_xy and the counit into chi_e, so the
+pentagon is the 3-cocycle law of Phi's character values and the counit
+law is their normalization (Drinfeld 1990; Dijkgraaf-Pasquier-Roche 1990).
+Second, a normalized 2-cochain F twists k[G] into the weak braided Hopf
+algebra with product x*y = F(x,y) xy and averaged coproduct
 
     D_F(x) = (1/|G|) sum_u F(u, u^-1 x)^-1  u x u^-1 x,
 
@@ -26,7 +29,8 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .braidings import AbelianCocycle, abelian_coboundary
-from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain, first_failure, law
+from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain
+from .cochains import first_failure, is_normalized3, law
 from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
 from .klein import coboundary_witness_g, coboundary_witness_h
 from .scalars import CycScalar, coerce, root_of_unity
@@ -100,18 +104,6 @@ class GroupAlgebraTensor:
             for key2, c2 in other.terms.items():
                 terms[key1 + key2] = c1 * c2
         return GroupAlgebraTensor(self.group, self.arity + other.arity, terms)
-
-    def apply_delta_on_leg(self, leg: int) -> "GroupAlgebraTensor":
-        """Apply the diagonal coproduct g -> g x g on one leg."""
-        return _collect(self.group, self.arity + 1, (
-            (key[: leg + 1] + key[leg:], coeff) for key, coeff in self.terms.items()
-        ))
-
-    def apply_counit_on_leg(self, leg: int) -> "GroupAlgebraTensor":
-        """Apply the counit g -> 1 on one leg, dropping it."""
-        return _collect(self.group, self.arity - 1, (
-            (key[:leg] + key[leg + 1 :], coeff) for key, coeff in self.terms.items()
-        ))
 
     def _check(self, other):
         if self.group != other.group or self.arity != other.arity:
@@ -218,22 +210,16 @@ def is_invertible(t: GroupAlgebraTensor) -> bool:
 
 
 def is_harrison_3cocycle(phi_tensor: GroupAlgebraTensor) -> bool:
-    """The quasi-bialgebra pentagon plus counit normalization in k[G]^(x4)."""
+    """The quasi-bialgebra pentagon plus counit normalization in k[G]^(x4):
+    characters are algebra maps with (chi_x x chi_y) D = chi_xy and eps = chi_e,
+    so these are the cocycle law and normalization of Phi's character values."""
     if phi_tensor.arity != 3:
         raise ValueError("expected an arity-3 tensor")
-    if not is_invertible(phi_tensor):
+    values = fourier_coefficients(phi_tensor)
+    if any(v.is_zero() for v in values):
         raise ValueError("the tensor is not invertible")
-    group = phi_tensor.group
-    one_leg = GroupAlgebraTensor.unit(group, 1)
-    lhs = (
-        one_leg.tensor(phi_tensor)
-        * phi_tensor.apply_delta_on_leg(1)
-        * phi_tensor.tensor(one_leg)
-    )
-    rhs = phi_tensor.apply_delta_on_leg(2) * phi_tensor.apply_delta_on_leg(0)
-    if lhs != rhs:
-        return False
-    return phi_tensor.apply_counit_on_leg(1) == GroupAlgebraTensor.unit(group, 2)
+    table = Cochain.from_dense(phi_tensor.group, 3, values)
+    return cocycle3_failure(table) is None and is_normalized3(table)
 
 
 # ----------------------------------------------------------------- #

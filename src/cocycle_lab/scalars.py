@@ -132,6 +132,8 @@ class CycScalar:
 
     @classmethod
     def rational(cls, value, conductor: int = 1) -> "CycScalar":
+        if isinstance(value, float):
+            raise TypeError(f"exact scalars take no float, got {value!r}")
         q = Fraction(value)
         return cls(conductor, [q.numerator], q.denominator)
 
@@ -437,7 +439,7 @@ def square_class(x: CycScalar) -> str:
 
 
 def coerce(value, conductor: int = 1) -> CycScalar:
-    """Turn ints, Fractions, or CycScalars into a CycScalar."""
+    """Turn ints, Fractions, or CycScalars into a CycScalar; a float raises TypeError."""
     if isinstance(value, CycScalar):
         return value
     return CycScalar.rational(value, conductor)

@@ -197,3 +197,28 @@ def test_invalid_input_exits_with_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+MALFORMED_TABLES = {
+    "values_not_a_list": lambda: dict(phi_X(frozenset()).to_json(), values=5),
+    "degree_null": lambda: dict(phi_X(frozenset()).to_json(), degree=None),
+    "top_level_list": lambda: [1, 2],
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "check-hexagon"])
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_TABLES))
+def test_malformed_json_exits_with_one_error_line(tmp_path, capsys, command, malformed):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_TABLES[malformed]()))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(Cochain.constant(klein(), 2, 1).to_json()))
+    if command == "classify":
+        argv = ["classify", "--input", str(bad)]
+    else:
+        argv = ["check-hexagon", "--phi", str(bad), "--r", str(good)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

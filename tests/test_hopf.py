@@ -6,10 +6,20 @@ from itertools import combinations
 import pytest
 
 from cocycle_lab.braidings import is_abelian_cocycle
-from cocycle_lab.cochains import Cochain, cyclic_phi_q
-from cocycle_lab.groups import cyclic
+from cocycle_lab.cochains import (
+    Cochain,
+    cohomology,
+    cyclic_phi_q,
+    is_cocycle3,
+    is_normalized3,
+    nondegenerate,
+    normalize3,
+)
+from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.hopf import (
     GroupAlgebraTensor,
+    _collect,
+    _push_through_dual,
     check_weak_hopf,
     cyclic_comult_crosscheck,
     cyclic_power_twist,
@@ -42,15 +52,49 @@ def p_minus(group):
     )
 
 
+def apply_delta_on_leg(t, leg: int) -> GroupAlgebraTensor:
+    """Apply the diagonal coproduct g -> g x g on one leg."""
+    return _collect(t.group, t.arity + 1, (
+        (key[: leg + 1] + key[leg:], coeff) for key, coeff in t.terms.items()
+    ))
+
+
+def apply_counit_on_leg(t, leg: int) -> GroupAlgebraTensor:
+    """Apply the counit g -> 1 on one leg, dropping it."""
+    return _collect(t.group, t.arity - 1, (
+        (key[:leg] + key[leg + 1 :], coeff) for key, coeff in t.terms.items()
+    ))
+
+
+def convolution_pentagon(phi_tensor: GroupAlgebraTensor) -> bool:
+    """The quasi-bialgebra pentagon plus counit normalization, evaluated
+    term by term in k[G]^(x4): the reference for is_harrison_3cocycle."""
+    if phi_tensor.arity != 3:
+        raise ValueError("expected an arity-3 tensor")
+    if not is_invertible(phi_tensor):
+        raise ValueError("the tensor is not invertible")
+    group = phi_tensor.group
+    one_leg = GroupAlgebraTensor.unit(group, 1)
+    lhs = (
+        one_leg.tensor(phi_tensor)
+        * apply_delta_on_leg(phi_tensor, 1)
+        * phi_tensor.tensor(one_leg)
+    )
+    rhs = apply_delta_on_leg(phi_tensor, 2) * apply_delta_on_leg(phi_tensor, 0)
+    if lhs != rhs:
+        return False
+    return apply_counit_on_leg(phi_tensor, 1) == GroupAlgebraTensor.unit(group, 2)
+
+
 def test_tensor_operations(G):
     one3 = unit(G, 3)
-    assert one3.apply_delta_on_leg(1) == unit(G, 4)
+    assert apply_delta_on_leg(one3, 1) == unit(G, 4)
     monomial = GroupAlgebraTensor.monomial(G, (G.sigma, G.tau, G.rho))
     # dropping the middle leg via the counit keeps the outer legs
-    assert monomial.apply_counit_on_leg(1) == GroupAlgebraTensor.monomial(G, (G.sigma, G.rho))
+    assert apply_counit_on_leg(monomial, 1) == GroupAlgebraTensor.monomial(G, (G.sigma, G.rho))
     pair = GroupAlgebraTensor.monomial(G, (G.sigma, G.tau))
     assert pair * pair == GroupAlgebraTensor.monomial(G, (G.e, G.e))
-    assert monomial.apply_delta_on_leg(0) == GroupAlgebraTensor.monomial(
+    assert apply_delta_on_leg(monomial, 0) == GroupAlgebraTensor.monomial(
         G, (G.sigma, G.sigma, G.tau, G.rho)
     )
 
@@ -206,21 +250,92 @@ def test_harrison_matches_cocycle_law_on_transports(G):
     assert not is_harrison_3cocycle(push(broken))
 
 
-def test_harrison_examples(G):
-    assert is_harrison_3cocycle(unit(G, 3))
-    assert is_harrison_3cocycle(klein_reassociator(phi_X({"sigma", "tau"})))
-    # pushing a non-cocycle table through the dual basis breaks the pentagon
+def bad_klein_tensor(G):
+    """The trivial table with one cell set to 3, pushed through the dual basis."""
     table = dict(phi_X(frozenset()).values)
     table[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
     units = dual_idempotents(G, SIGNS)
     bad = GroupAlgebraTensor(G, 3, {})
     for (x, y, z), value in table.items():
         bad = bad + units[x].tensor(units[y]).tensor(units[z]).scale(value)
+    return bad
+
+
+def test_harrison_examples(G):
+    assert is_harrison_3cocycle(unit(G, 3))
+    assert is_harrison_3cocycle(klein_reassociator(phi_X({"sigma", "tau"})))
+    # pushing a non-cocycle table through the dual basis breaks the pentagon
+    bad = bad_klein_tensor(G)
     assert is_invertible(bad)
     assert not is_harrison_3cocycle(bad)
     with pytest.raises(ValueError):
         pm = klein_minus_idempotent(G.sigma)
         is_harrison_3cocycle(pm.tensor(pm).tensor(pm))
+
+
+def agreed_pentagon(tensor) -> bool:
+    """The character-value check, asserted equal to the convolution oracle."""
+    answer = is_harrison_3cocycle(tensor)
+    assert convolution_pentagon(tensor) == answer
+    return answer
+
+
+def zeta_roots(group):
+    return [root_of_unity(n, 1) for n in group.orders]
+
+
+@pytest.mark.parametrize("builder", [reassociator_phi_l, reassociator_transport_cyclic])
+def test_pentagon_agrees_with_convolution_on_cyclic_reassociators(builder):
+    for n in (2, 3, 4, 5):
+        xi = root_of_unity(n, 1) if n > 2 else CycScalar.rational(-1)
+        assert all(agreed_pentagon(builder(n, l, xi)) for l in range(n))
+
+
+def test_pentagon_agrees_with_convolution_on_klein_reassociators(G):
+    sources = [phi_X(frozenset(s)) for k in range(4) for s in combinations(NAMES, k)]
+    sources.append(h_a(-1) * g_b(-1) * phi_X({"sigma", "tau"}))
+    assert all(agreed_pentagon(klein_reassociator(phi)) for phi in sources)
+    assert not agreed_pentagon(bad_klein_tensor(G))
+    pm = klein_minus_idempotent(G.sigma)
+    for check in (is_harrison_3cocycle, convolution_pentagon):
+        with pytest.raises(ValueError, match="not invertible"):
+            check(pm.tensor(pm).tensor(pm))
+
+
+@pytest.mark.parametrize("group", [cyclic(2), cyclic(3), cyclic(4), klein()], ids=str)
+def test_pentagon_agrees_with_convolution_on_unnormalized_coboundaries(group, rng):
+    # (x, y, z) -> f(y)/f(xy) is delta of (x, y) -> f(x): it satisfies the
+    # pentagon, and fails the counit law wherever f(x) != f(e)
+    for _ in range(3):
+        f = {x: root_of_unity(12, rng.randrange(12)) for x in group.elements()}
+        f[group.elements()[1]] = f[group.identity()] * root_of_unity(12, 1)
+        phi = Cochain.from_function(group, 3, lambda x, y, z: f[y] * f[x * y].inv())
+        assert is_cocycle3(phi) and not is_normalized3(phi)
+        assert not agreed_pentagon(_push_through_dual(phi, zeta_roots(group)))
+
+
+def test_pentagon_agrees_with_convolution_on_random_tables(rng):
+    for group, count in ((cyclic(2), 4), (cyclic(3), 3), (cyclic(4), 1)):
+        for _ in range(count):
+            phi = Cochain.from_function(
+                group, 3, lambda *args: root_of_unity(12, rng.randrange(12))
+            )
+            tensor = _push_through_dual(phi, zeta_roots(group))
+            assert agreed_pentagon(tensor) == (is_cocycle3(phi) and is_normalized3(phi))
+
+
+@pytest.mark.parametrize("orders, m", [((2, 4), 4), ((8,), 8), ((3, 3), 3), ((2, 2, 2), 2)])
+def test_pentagon_on_cohomology_generators(orders, m):
+    group = FiniteAbelianGroup(list(orders))
+    generators = [normalize3(phi)[0] for phi in cohomology(group, 3, m).generators]
+    assert generators
+    for phi in generators:
+        assert is_harrison_3cocycle(_push_through_dual(phi, zeta_roots(group)))
+    cell = list(group.tuples(3))[nondegenerate(group, 3)[0]]
+    tampered = dict(generators[-1].values)
+    tampered[cell] = tampered[cell] * root_of_unity(m, 1)
+    phi = Cochain(group, 3, tampered)
+    assert not is_harrison_3cocycle(_push_through_dual(phi, zeta_roots(group)))
 
 
 def test_klein_reassociators(G):

@@ -3,10 +3,12 @@ from math import lcm
 
 import pytest
 
+from cocycle_lab.cochains import cyclic_twist_cochain
 from cocycle_lab.scalars import (
     CycScalar,
     as_root_exponent,
     _reduction,
+    coerce,
     cyclotomic_polynomial,
     is_square_in_mu,
     rational_is_square_in_field,
@@ -244,3 +246,18 @@ def test_as_root_exponent_matches_scan():
             for x in values:
                 scan = next((k for k in range(m) if root_of_unity(m, k) == x), None)
                 assert as_root_exponent(x, m) == scan
+
+
+def test_floats_are_refused():
+    for value in (0.1, 0.5, 1.0):
+        with pytest.raises(TypeError):
+            CycScalar.rational(value)
+        with pytest.raises(TypeError):
+            coerce(value)
+
+
+def test_twist_cochain_with_int_q_is_exact():
+    # negative exponents of an int q used to go through float division
+    values = {v.as_rational() for v in cyclic_twist_cochain(3, 3).values.values()}
+    assert values == {1, Fraction(1, 3), Fraction(1, 9)}
+    assert cyclic_twist_cochain(3, 3) == cyclic_twist_cochain(3, coerce(3))
