@@ -13,8 +13,10 @@ The Eilenberg-Mac Lane trace Q(x) = R(x,x) identifies cohomology classes
 of such pairs with quadratic forms.  Both laws are linear in exponents:
 this module counts mu_m R-matrices, lists mu_m quadratic forms and decides
 cohomologousness over Z/m, labels the Klein census, and carries an
-independent matrix-level oracle that checks pentagon/hexagon coherence by
-composing explicit (sparse) matrices.
+independent matrix-level oracle for pentagon/hexagon coherence.  Every
+associator and braiding on regular graded spaces is a monomial map, one
+basis tuple to a scalar times one basis tuple; the oracle composes these
+maps along the diagrams and compares the results.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ R_PSI = law("+psi(y,x) -psi(x,y)")
 QUADRATIC_FORM = law("+Q(xyz) +Q(x) +Q(y) +Q(z) -Q(xy) -Q(xz) -Q(yz)")
 
 
+def _require_pair(phi: Cochain, R: Cochain) -> None:
+    if phi.group != R.group or phi.degree != 3 or R.degree != 2:
+        raise ValueError("expected a degree-3 and a degree-2 cochain on one group")
+
+
 @dataclass(frozen=True)
 class AbelianCocycle:
     """A pair (phi, R): normalized 3-cocycle plus R-matrix."""
@@ -62,8 +69,7 @@ class AbelianCocycle:
     R: Cochain
 
     def __post_init__(self):
-        if self.phi.group != self.R.group or self.phi.degree != 3 or self.R.degree != 2:
-            raise ValueError("expected a degree-3 and a degree-2 cochain on one group")
+        _require_pair(self.phi, self.R)
 
     @property
     def group(self) -> FiniteAbelianGroup:
@@ -84,8 +90,7 @@ class AbelianCocycle:
 
 def hexagon_failure(phi: Cochain, R: Cochain):
     """First (which, x, y, z) violating a hexagon identity, or None."""
-    if phi.group != R.group or phi.degree != 3 or R.degree != 2:
-        raise ValueError("expected a degree-3 and a degree-2 cochain on one group")
+    _require_pair(phi, R)
     failure = first_failure(HEXAGONS, phi.group, {"phi": phi.dense(), "R": R.dense()})
     return None if failure is None else (failure[0] + 1, *failure[1])
 
@@ -376,91 +381,45 @@ def count_hexagon_solutions_mu(phi: Cochain, m: int = 4) -> int:
 # matrix-level coherence oracle
 # ----------------------------------------------------------------- #
 
-class SparseMap:
-    """A sparse matrix between tensor-power bases indexed by element tuples."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict):
-        self.entries = {
-            key: coeff for key, coeff in entries.items() if not coeff.is_zero()
-        }
-
-    @classmethod
-    def from_rule(cls, keys, rule) -> "SparseMap":
-        """Build from a rule key -> (out_key, coefficient)."""
-        entries = {}
-        for key in keys:
-            out, coeff = rule(key)
-            entries[(out, key)] = coerce(coeff)
-        return cls(entries)
-
-    def compose(self, other: "SparseMap") -> "SparseMap":
-        by_in: dict = {}
-        for (out, mid), coeff in self.entries.items():
-            by_in.setdefault(mid, []).append((out, coeff))
-        entries: dict = {}
-        for (mid, key), coeff in other.entries.items():
-            for out, c2 in by_in.get(mid, ()):
-                pos = (out, key)
-                acc = entries.get(pos)
-                entries[pos] = coeff * c2 if acc is None else acc + coeff * c2
-        return SparseMap(entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMap):
-            return NotImplemented
-        if self.entries.keys() != other.entries.keys():
-            return False
-        return all(v == other.entries[k] for k, v in self.entries.items())
-
-    __hash__ = None
-
-
-def _diag(keys, scalar_of) -> SparseMap:
-    return SparseMap.from_rule(keys, lambda key: (key, scalar_of(key)))
+def _compose(after: dict, before: dict) -> dict:
+    """after o before for monomial maps: basis tuple -> (image tuple, coefficient)."""
+    composite = {}
+    for key, (mid, coeff) in before.items():
+        image, c2 = after[mid]
+        composite[key] = (image, coeff * c2)
+    return composite
 
 
 def categorical_pentagon_check(phi: Cochain) -> bool:
-    """Pentagon coherence on four regular graded spaces, by matrix composition."""
-    G = phi.group
-    keys = list(G.tuples(4))
+    """Pentagon coherence on four regular graded spaces, by composing monomial maps."""
+    if phi.degree != 3:
+        raise ValueError("expected a degree-3 cochain")
+    keys = list(phi.group.tuples(4))
     f = phi.values
-    outer = _diag(keys, lambda k: f[(k[0] * k[1], k[2], k[3])])
-    inner = _diag(keys, lambda k: f[(k[0], k[1], k[2] * k[3])])
-    left = inner.compose(outer)
-    first = _diag(keys, lambda k: f[(k[0], k[1], k[2])])
-    middle = _diag(keys, lambda k: f[(k[0], k[1] * k[2], k[3])])
-    last = _diag(keys, lambda k: f[(k[1], k[2], k[3])])
-    right = last.compose(middle.compose(first))
-    return left == right
+    outer = {k: (k, f[(k[0] * k[1], k[2], k[3])]) for k in keys}
+    inner = {k: (k, f[(k[0], k[1], k[2] * k[3])]) for k in keys}
+    first = {k: (k, f[(k[0], k[1], k[2])]) for k in keys}
+    middle = {k: (k, f[(k[0], k[1] * k[2], k[3])]) for k in keys}
+    last = {k: (k, f[(k[1], k[2], k[3])]) for k in keys}
+    return _compose(inner, outer) == _compose(last, _compose(middle, first))
 
 
 def categorical_hexagon_check(phi: Cochain, R: Cochain) -> bool:
-    """Both hexagon diagrams on three regular graded spaces, as matrices."""
-    G = phi.group
-    keys = list(G.tuples(3))
+    """Both hexagon diagrams on three regular graded spaces, by composing monomial maps."""
+    _require_pair(phi, R)
+    keys = list(phi.group.tuples(3))
     f, r = phi.values, R.values
-
-    assoc = _diag(keys, lambda k: f[k])
-    assoc_inv = _diag(keys, lambda k: f[k].inv())
-    braid_first_past_rest = SparseMap.from_rule(
-        keys, lambda k: ((k[1], k[2], k[0]), r[(k[0], k[1] * k[2])])
-    )
-    braid_left_pair = SparseMap.from_rule(
-        keys, lambda k: ((k[1], k[0], k[2]), r[(k[0], k[1])])
-    )
-    braid_right_pair = SparseMap.from_rule(
-        keys, lambda k: ((k[0], k[2], k[1]), r[(k[1], k[2])])
-    )
-    lhs = assoc.compose(braid_first_past_rest.compose(assoc))
-    rhs = braid_right_pair.compose(assoc.compose(braid_left_pair))
+    assoc = {k: (k, f[k]) for k in keys}
+    assoc_inv = {k: (k, f[k].inv()) for k in keys}
+    braid_first_past_rest = {k: ((k[1], k[2], k[0]), r[(k[0], k[1] * k[2])]) for k in keys}
+    braid_left_pair = {k: ((k[1], k[0], k[2]), r[(k[0], k[1])]) for k in keys}
+    braid_right_pair = {k: ((k[0], k[2], k[1]), r[(k[1], k[2])]) for k in keys}
+    lhs = _compose(assoc, _compose(braid_first_past_rest, assoc))
+    rhs = _compose(braid_right_pair, _compose(assoc, braid_left_pair))
     if lhs != rhs:
         return False
 
-    braid_rest_past_last = SparseMap.from_rule(
-        keys, lambda k: ((k[2], k[0], k[1]), r[(k[0] * k[1], k[2])])
-    )
-    lhs = assoc_inv.compose(braid_rest_past_last.compose(assoc_inv))
-    rhs = braid_left_pair.compose(assoc_inv.compose(braid_right_pair))
+    braid_rest_past_last = {k: ((k[2], k[0], k[1]), r[(k[0] * k[1], k[2])]) for k in keys}
+    lhs = _compose(assoc_inv, _compose(braid_rest_past_last, assoc_inv))
+    rhs = _compose(braid_left_pair, _compose(assoc_inv, braid_right_pair))
     return lhs == rhs

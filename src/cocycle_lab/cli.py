@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hopf_reassociator)
 
     p = hopf_sub.add_parser("build", parents=[shared], help="build a twisted weak Hopf structure")
-    p.add_argument("--group", default="klein", help="ignored for the cyclic family")
+    p.add_argument("--group", default="klein", help="ignored: each family fixes its group")
     p.add_argument("--family", required=True, choices=["prop54i", "prop54ii", "prop53"])
     p.add_argument("--a", help="parameter of the diagonal twist")
     p.add_argument("--d", help="parameter of the mixed twist")

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import MATRIX_CELL_BOUND, FiniteAbelianGroup, GroupElement, cyclic
-from .scalars import CycScalar, as_root_exponent, coerce, root_of_unity
+from .scalars import CycScalar, as_root_exponent, coerce, exact_int, root_of_unity
 from .zmodlin import (
     howell_form,
     kernel_mod,
@@ -140,13 +140,30 @@ class Cochain:
 
     @classmethod
     def from_json(cls, data: dict) -> "Cochain":
-        group = FiniteAbelianGroup.from_json(data["group"])
-        degree = int(data["degree"])
+        """Read the form ``to_json`` writes; a malformed field raises an error naming it."""
+        orders = _json_field(_json_field(data, "group", dict), "orders", list, "group.")
+        group = FiniteAbelianGroup(orders)
+        degree = exact_int(data.get("degree"), "cochain field 'degree'")
         values = {}
-        for entry in data["values"]:
-            key = tuple(group.element(exps) for exps in entry["args"])
-            values[key] = CycScalar.from_json(entry["value"])
+        for n, entry in enumerate(_json_field(data, "values", list)):
+            where = f"values[{n}]."
+            args = _json_field(entry, "args", list, where)
+            if len(args) != degree or any(
+                not isinstance(a, list) or len(a) != len(orders) for a in args
+            ):
+                raise ValueError(f"cochain field {where}args must list {degree} exponent vectors")
+            key = tuple(group.element(exps) for exps in args)
+            values[key] = CycScalar.from_json(_json_field(entry, "value", dict, where))
         return cls(group, degree, values)
+
+
+def _json_field(data, name: str, kind: type, where: str = ""):
+    """data[name] if data is a JSON object and that field is a ``kind``; else a ValueError."""
+    value = data.get(name) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"cochain field {where}{name} must be {shape}")
+    return value
 
 
 # ----------------------------------------------------------------- #

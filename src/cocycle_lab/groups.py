@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 from math import gcd, prod
+from operator import index
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class GroupElement:
     def __init__(self, group: "FiniteAbelianGroup", exponents):
         self.group = group
         self.exponents = tuple(
-            [int(e) % n for e, n in zip(exponents, group.orders, strict=True)]
+            [index(e) % n for e, n in zip(exponents, group.orders, strict=True)]
         )
         # elements are dict keys millions of times per check: hash once
         self._hash = hash((group.orders, self.exponents))
@@ -85,7 +86,7 @@ class FiniteAbelianGroup:
     __slots__ = ("orders", "_elements", "_cayley")
 
     def __init__(self, orders):
-        orders = tuple(int(n) for n in orders)
+        orders = tuple(index(n) for n in orders)  # int() would truncate a float
         if not orders or any(n < 1 for n in orders):
             raise ValueError("cyclic factor orders must be positive integers")
         self.orders = orders

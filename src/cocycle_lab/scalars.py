@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 
 # ----------------------------------------------------------------- #
@@ -103,11 +104,11 @@ class CycScalar:
     __slots__ = ("conductor", "nums", "den")
 
     def __init__(self, conductor: int, nums, den=1):
-        conductor = int(conductor)
+        conductor = index(conductor)  # int() would truncate a float
         phi_n = cyclotomic_polynomial(conductor)
         deg = len(phi_n) - 1
-        nums = [int(x) for x in nums]
-        den = int(den)
+        nums = [index(x) for x in nums]
+        den = index(den)
         if den == 0:
             raise ZeroDivisionError("denominator must be nonzero")
         if len(nums) > deg:
@@ -328,12 +329,16 @@ class CycScalar:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycScalar":
-        n = int(data["conductor"])
-        coeffs = [Fraction(int(p), int(q)) for p, q in data["coeffs"]]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return cls(n, [int(c * den) for c in coeffs], den)
+        """Read {"conductor": N, "coeffs": [[p, q], ...]}; p and q may be decimal strings."""
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise ValueError("a scalar is an object with a 'conductor' and a 'coeffs' list")
+        if not all(isinstance(pq, list) and len(pq) == 2 for pq in data["coeffs"]):
+            raise ValueError("scalar 'coeffs' must be [numerator, denominator] pairs")
+        field = "scalar field 'coeffs'"
+        coeffs = [Fraction(exact_int(p, field), exact_int(q, field)) for p, q in data["coeffs"]]
+        den = lcm(1, *(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return cls(exact_int(data.get("conductor"), "scalar field 'conductor'"), nums, den)
 
 
 # ----------------------------------------------------------------- #
@@ -436,6 +441,20 @@ def square_class(x: CycScalar) -> str:
     if q is not None:
         return "trivial" if rational_is_square_in_field(q, n) else "nontrivial"
     return "undecided"
+
+
+def exact_int(value, field: str) -> int:
+    """An int from an integer or a decimal string; a float or anything else raises TypeError.
+
+    >>> exact_int("-3", "p"), exact_int(4, "conductor")
+    (-3, 4)
+    """
+    if isinstance(value, str):
+        return int(value)
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
 def coerce(value, conductor: int = 1) -> CycScalar:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -29,7 +30,14 @@ from cocycle_lab.braidings import (
     trace,
     transport_t_ab,
 )
-from cocycle_lab.cochains import Cochain, cochain_exponents, cyclic_phi_q, law_rows
+from cocycle_lab.cochains import (
+    Cochain,
+    cochain_exponents,
+    cocycle3_failure,
+    cyclic_phi_q,
+    is_cocycle3,
+    law_rows,
+)
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.klein import g_b, h_a, klein_2cochain, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
@@ -458,6 +466,49 @@ def test_categorical_oracle_spot_checks(G):
     broken[(G.sigma, G.rho)] = I
     assert not categorical_hexagon_check(column_a.phi, Cochain(G, 2, broken))
     assert not is_abelian_cocycle(column_a.phi, Cochain(G, 2, broken))
+
+
+def test_oracle_rejects_what_the_scalar_checks_reject(G):
+    # a Klein degree-2 table, and R on C4 next to phi on C2xC2
+    klein2, klein3, c4 = Cochain.constant(G, 2), Cochain.constant(G, 3), cyclic(4)
+    cases = [
+        (cocycle3_failure, categorical_pentagon_check, (klein2,)),
+        (hexagon_failure, categorical_hexagon_check, (klein2, klein2)),
+        (hexagon_failure, categorical_hexagon_check, (klein3, Cochain.constant(c4, 2))),
+    ]
+    for scalar, oracle, args in cases:
+        with pytest.raises(ValueError) as expected:
+            scalar(*args)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            oracle(*args)
+
+
+def _times_i_tampers(cochain):
+    """The cochain itself, then each copy with one cell multiplied by i."""
+    yield cochain
+    for key in cochain.values:
+        tampered = dict(cochain.values)
+        tampered[key] = tampered[key] * I
+        yield Cochain(cochain.group, cochain.degree, tampered)
+
+
+def test_oracle_agrees_with_the_scalar_laws_on_single_cell_tampers():
+    pentagon_verdicts = set()
+    for subset in (set(), {"sigma", "tau"}, {"rho"}):
+        for phi in _times_i_tampers(phi_X(subset)):
+            verdict = is_cocycle3(phi)
+            assert categorical_pentagon_check(phi) == verdict
+            pentagon_verdicts.add(verdict)
+    pairs = [ac for _, ac in enumerate_klein_braidings(4)]
+    pairs += [cyclic_braiding(3, root_of_unity(3, 1)), cyclic_braiding(4, I)]
+    assert len(pairs) == 34
+    hexagon_verdicts = set()
+    for ac in pairs:
+        for R in _times_i_tampers(ac.R):
+            verdict = is_abelian_cocycle(ac.phi, R)
+            assert categorical_hexagon_check(ac.phi, R) == verdict
+            hexagon_verdicts.add(verdict)
+    assert pentagon_verdicts == hexagon_verdicts == {True, False}
 
 
 def test_braiding_json(G):

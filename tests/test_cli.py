@@ -199,18 +199,33 @@ def test_invalid_input_exits_with_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _float_coordinate():
+    data = phi_X(frozenset()).to_json()
+    data["values"][5]["value"]["coeffs"][0] = [1.7, 1]  # int() read this as 1
+    return data
+
+
+# each malformed table, and a field its one error line must name
 MALFORMED_TABLES = {
-    "values_not_a_list": lambda: dict(phi_X(frozenset()).to_json(), values=5),
-    "degree_null": lambda: dict(phi_X(frozenset()).to_json(), degree=None),
-    "top_level_list": lambda: [1, 2],
+    "values_not_a_list": (lambda: dict(phi_X(frozenset()).to_json(), values=5), "values"),
+    "values_missing": (
+        lambda: {k: v for k, v in phi_X(frozenset()).to_json().items() if k != "values"},
+        "values",
+    ),
+    "degree_null": (lambda: dict(phi_X(frozenset()).to_json(), degree=None), "degree"),
+    "degree_float": (lambda: dict(phi_X(frozenset()).to_json(), degree=1.5), "degree"),
+    "top_level_list": (lambda: [1, 2], "group"),
+    "args_not_a_list": (lambda: dict(phi_X(frozenset()).to_json(), values=[{}]), "values[0].args"),
+    "float_coordinate": (_float_coordinate, "coeffs"),
 }
 
 
 @pytest.mark.parametrize("command", ["classify", "check-hexagon"])
 @pytest.mark.parametrize("malformed", sorted(MALFORMED_TABLES))
 def test_malformed_json_exits_with_one_error_line(tmp_path, capsys, command, malformed):
+    build, field = MALFORMED_TABLES[malformed]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(MALFORMED_TABLES[malformed]()))
+    bad.write_text(json.dumps(build()))
     good = tmp_path / "good.json"
     good.write_text(json.dumps(Cochain.constant(klein(), 2, 1).to_json()))
     if command == "classify":
@@ -222,3 +237,4 @@ def test_malformed_json_exits_with_one_error_line(tmp_path, capsys, command, mal
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert field in lines[0]

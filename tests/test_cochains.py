@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -349,6 +350,33 @@ def test_cochain_json_roundtrip(G):
     data = table.to_json()
     assert len(data["values"]) == 64
     assert Cochain.from_json(data) == table
+
+
+def _klein_json_with(**fields):
+    data = phi_X({"sigma", "tau"}).to_json()
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, error, field",
+    [
+        ([1, 2], ValueError, "group"),
+        (_klein_json_with(group=[2, 2]), ValueError, "group"),
+        (_klein_json_with(group={"order": [2, 2]}), ValueError, "group.orders"),
+        (_klein_json_with(degree=None), TypeError, "degree"),
+        (_klein_json_with(degree=1.5), TypeError, "degree"),
+        ({k: v for k, v in _klein_json_with().items() if k != "values"}, ValueError, "values"),
+        (_klein_json_with(values=5), ValueError, "values"),
+        (_klein_json_with(values=[5]), ValueError, "values[0].args"),
+        (_klein_json_with(values=[{"args": [[0, 0]] * 2, "value": {}}]), ValueError, "values[0].args"),
+        (_klein_json_with(values=[{"args": [[0]] * 3, "value": {}}]), ValueError, "values[0].args"),
+        (_klein_json_with(values=[{"args": [[0, 0]] * 3}]), ValueError, "values[0].value"),
+    ],
+)
+def test_cochain_json_names_the_bad_field(data, error, field):
+    with pytest.raises(error, match=re.escape(field)):
+        Cochain.from_json(data)
 
 
 def test_cochain_validation(G):

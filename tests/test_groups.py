@@ -89,6 +89,15 @@ def test_json_roundtrip(G):
     assert G.sigma.to_json() == [1, 0]
 
 
+def test_float_exponents_and_orders_are_refused(G):
+    # int() used to truncate them: [1.5, 0] read as sigma, orders [2.5, 2] as C2xC2
+    with pytest.raises(TypeError):
+        G.element([1.5, 0])
+    with pytest.raises(TypeError):
+        FiniteAbelianGroup.from_json({"orders": [2.5, 2]})
+    assert G.element([3, -1]) == G.rho
+
+
 def test_mixed_group_composition_rejected(G):
     with pytest.raises(ValueError):
         G.sigma * cyclic(2).generator()

@@ -254,6 +254,26 @@ def test_floats_are_refused():
             CycScalar.rational(value)
         with pytest.raises(TypeError):
             coerce(value)
+    # int() used to truncate these to 1, conductor 4, 2i and 1/2
+    for build in (
+        lambda: CycScalar.from_json({"conductor": 4, "coeffs": [[1.7, 1]]}),
+        lambda: CycScalar.from_json({"conductor": 4, "coeffs": [["1", 2.0]]}),
+        lambda: CycScalar.from_json({"conductor": 4.9, "coeffs": [[1, 1]]}),
+        lambda: CycScalar(4, [0.5, 2.9]),
+        lambda: CycScalar(4, [1], 2.5),
+        lambda: CycScalar(4.0, [1]),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    # the numerator/denominator strings that to_json writes stay accepted
+    data = {"conductor": 4, "coeffs": [["1", "2"], [-3, "4"]]}
+    assert CycScalar.from_json(data) == CycScalar(4, [2, -3], 4)
+
+
+@pytest.mark.parametrize("data", [None, {"conductor": 4}, {"conductor": 4, "coeffs": [[1]]}])
+def test_malformed_scalar_json_names_the_field(data):
+    with pytest.raises(ValueError, match="coeffs"):
+        CycScalar.from_json(data)
 
 
 def test_twist_cochain_with_int_q_is_exact():
