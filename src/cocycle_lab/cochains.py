@@ -17,7 +17,8 @@ table, and every use is one of three derivations:
                    Both report the same (law index, point);
   evaluate      -- the signed product at every point (``Cochain.delta``);
   law_rows      -- the Z/m system in the exponents of one unknown slot
-                   (``boundary_matrix``).
+                   (``boundary_matrix``), or its restriction to strictly
+                   normalized cochains (``cohomology``).
 
 Cochains valued in the m-th roots of unity embed into (Z/m)^(G^n) by
 taking exponents, which turns coboundary membership and cohomology into
@@ -141,28 +142,41 @@ class Cochain:
     @classmethod
     def from_json(cls, data: dict) -> "Cochain":
         """Read the form ``to_json`` writes; a malformed field raises an error naming it."""
-        orders = _json_field(_json_field(data, "group", dict), "orders", list, "group.")
-        group = FiniteAbelianGroup(orders)
-        degree = exact_int(data.get("degree"), "cochain field 'degree'")
-        values = {}
-        for n, entry in enumerate(_json_field(data, "values", list)):
-            where = f"values[{n}]."
-            args = _json_field(entry, "args", list, where)
-            if len(args) != degree or any(
-                not isinstance(a, list) or len(a) != len(orders) for a in args
-            ):
-                raise ValueError(f"cochain field {where}args must list {degree} exponent vectors")
-            key = tuple(group.element(exps) for exps in args)
-            values[key] = CycScalar.from_json(_json_field(entry, "value", dict, where))
-        return cls(group, degree, values)
+        return cls(*table_from_json(data, "cochain", "degree", "values", "args", "value"))
 
 
-def _json_field(data, name: str, kind: type, where: str = ""):
-    """data[name] if data is a JSON object and that field is a ``kind``; else a ValueError."""
+def table_from_json(data, record: str, arity: str, entries: str, key: str, value: str):
+    """(group, arity, {element tuple: CycScalar}) from a JSON object with fields
+    ``group.orders``, ``arity`` and ``entries``, a list of objects that each hold
+    ``arity`` exponent vectors under ``key`` and a scalar under ``value``.
+
+    A malformed field raises an error naming it, e.g. ``cochain field
+    values[0].args must list 3 exponent vectors``.
+    """
+    where = f"{record} field "
+    orders = _json_field(_json_field(data, "group", dict, where), "orders", list, where + "group.")
+    group = FiniteAbelianGroup(orders)
+    count = exact_int(data.get(arity), f"{where}'{arity}'")
+    table = {}
+    for n, entry in enumerate(_json_field(data, entries, list, where)):
+        at = f"{where}{entries}[{n}]."
+        args = _json_field(entry, key, list, at)
+        if len(args) != count or any(
+            not isinstance(a, list) or len(a) != len(orders) for a in args
+        ):
+            raise ValueError(f"{at}{key} must list {count} exponent vectors")
+        key_elements = tuple(group.element(exps) for exps in args)
+        table[key_elements] = CycScalar.from_json(_json_field(entry, value, dict, at))
+    return group, count, table
+
+
+def _json_field(data, name: str, kind: type, where: str):
+    """data[name] if data is a JSON object and that field is a ``kind``; else a
+    ValueError naming the field ``where + name``."""
     value = data.get(name) if isinstance(data, dict) else None
     if not isinstance(value, kind):
         shape = "an object" if kind is dict else "a list"
-        raise ValueError(f"cochain field {where}{name} must be {shape}")
+        raise ValueError(f"{where}{name} must be {shape}")
     return value
 
 
@@ -285,21 +299,37 @@ def evaluate(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
     return [reduce(mul, values) for values in zip(*columns)]
 
 
-def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=None):
+def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=None,
+             normalized: bool = False):
     """(A, b) over Z/m such that the law holds iff A @ v = b.
 
     v is the exponent vector of slot ``unknown`` (values zeta_m^v); ``known``
-    maps every other slot of the law to its exponent vector.
+    maps every other slot of the law to its exponent vector.  With
+    ``normalized`` the system is the one on strictly normalized cochains:
+    rows and columns are the ``nondegenerate`` tuples, and the unknown is 0
+    (value 1) wherever an argument is e, so those entries drop out.  The
+    cell bound is checked on the shape allocated, before any allocation.
     """
     degree = next(len(words) for _, slot, words in rule.terms if slot == unknown)
-    if group.size ** (rule.arity + degree) > MATRIX_CELL_BOUND:
-        raise ValueError(f"a {group.size}^{rule.arity} x {group.size}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
-    points = np.arange(group.tuple_count(rule.arity))
-    matrix = np.zeros((points.size, group.tuple_count(degree)), dtype=np.int64)
+    base = group.size - 1 if normalized else group.size
+    if base ** (rule.arity + degree) > MATRIX_CELL_BOUND:
+        raise ValueError(f"a {base}^{rule.arity} x {base}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
+    if normalized:
+        points = nondegenerate(group, rule.arity)
+        columns = np.full(group.tuple_count(degree), -1)
+        columns[nondegenerate(group, degree)] = np.arange(base**degree)
+    else:
+        points = np.arange(group.tuple_count(rule.arity))
+        columns = np.arange(group.tuple_count(degree))
+    rows = np.arange(points.size)
+    matrix = np.zeros((points.size, base**degree), dtype=np.int64)
     rhs = np.zeros(points.size, dtype=np.int64)
     for sign, slot, flat in positions(rule, group):
+        flat = flat[points]
         if slot == unknown:
-            np.add.at(matrix, (points, flat), sign)
+            column = columns[flat]
+            kept = column >= 0
+            np.add.at(matrix, (rows[kept], column[kept]), sign)
         else:
             rhs -= sign * np.asarray(known[slot])[flat]
     matrix %= m
@@ -541,18 +571,18 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
 
     Normalized cochains (zero where an argument is e) form a subcomplex
     quasi-isomorphic to the full one, so Z^n = Z^n_norm + B^n: the kernel is
-    solved on nondegenerate tuples only, then put in Howell form with B^n.
+    solved on nondegenerate tuples only, in the (|G|-1)^(n+1) x (|G|-1)^n
+    system that ``law_rows`` builds directly (the cell bound applies to that
+    shape), then put in Howell form with B^n.
     """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    outer = boundary_matrix(group, n, m)
+    normalized = kernel_mod(law_rows(coboundary_law(n), group, "f", m, normalized=True)[0], m)
     image = boundary_matrix(group, n - 1, m).T
-    rows, columns = nondegenerate(group, n + 1), nondegenerate(group, n)
-    normalized = kernel_mod(outer[np.ix_(rows, columns)], m)
-    cocycles = np.zeros((normalized.shape[0], outer.shape[1]), dtype=np.int64)
-    cocycles[:, columns] = normalized
+    cocycles = np.zeros((normalized.shape[0], group.tuple_count(n)), dtype=np.int64)
+    cocycles[:, nondegenerate(group, n)] = normalized
     kernel = howell_form(np.vstack([cocycles, image]), m)
     factors, gen_vectors = quotient_invariant_factors(kernel, image, m)
     generators = [cochain_from_exponents(group, n, v, m) for v in gen_vectors]

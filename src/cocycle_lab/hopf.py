@@ -30,7 +30,7 @@ from math import lcm, prod
 
 from .braidings import AbelianCocycle, abelian_coboundary
 from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain
-from .cochains import first_failure, is_normalized3, law
+from .cochains import first_failure, is_normalized3, law, table_from_json
 from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
 from .klein import coboundary_witness_g, coboundary_witness_h
 from .scalars import CycScalar, coerce, root_of_unity
@@ -142,12 +142,8 @@ class GroupAlgebraTensor:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupAlgebraTensor":
-        group = FiniteAbelianGroup.from_json(data["group"])
-        terms = {}
-        for entry in data["terms"]:
-            key = tuple(group.element(e) for e in entry["elems"])
-            terms[key] = CycScalar.from_json(entry["coeff"])
-        return cls(group, int(data["arity"]), terms)
+        """Read the form ``to_json`` writes; a malformed field raises an error naming it."""
+        return cls(*table_from_json(data, "tensor", "arity", "terms", "elems", "coeff"))
 
 
 def _collect(group, arity: int, pairs) -> GroupAlgebraTensor:

@@ -269,7 +269,7 @@ class CycScalar:
         return self.inv() * other
 
     def __pow__(self, exponent: int) -> "CycScalar":
-        exponent = int(exponent)
+        exponent = index(exponent)  # int() would truncate a float
         if exponent < 0:
             return self.inv() ** (-exponent)
         result = CycScalar.one(self.conductor)
@@ -345,17 +345,17 @@ class CycScalar:
 # roots of unity
 # ----------------------------------------------------------------- #
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the entry of 4
 def root_of_unity(conductor: int, k: int = 1) -> CycScalar:
     """zeta_N^k in canonical form.
 
     >>> root_of_unity(4, 2) == -1
     True
     """
-    conductor = int(conductor)
+    conductor = index(conductor)  # int() would truncate a float
     if conductor < 1:
         raise ValueError("conductor must be a positive integer")
-    k = int(k) % conductor
+    k = index(k) % conductor
     return CycScalar(conductor, [0] * k + [1])  # constructor reduces mod Phi_N
 
 

@@ -5,11 +5,16 @@ prime: a canonical spanning form for submodules of (Z/m)^n, exact solving
 of linear systems, and invariant factors of a quotient of nested
 submodules.  All three are built on the Howell form, the strong echelon
 form that is canonical over Z/m (Storjohann-Mulders), computed one pivot
-column per numpy step.  The quotient step diagonalizes a relation matrix
-with Smith-style integer row/column operations; entries may be reduced
-mod m at any time because the relation lattice always contains m*Z^r, so
-everything stays in [0, m) and int64, as the entry points check before
-allocating: m*m*(rows + columns) < 2^63.
+column per numpy step and then back-reduced.  The right kernel of A is
+read off [A^T | I], built once in one array: its Howell rows with a pivot
+in the right block span the kernel.  Only those rows are back-reduced;
+they lie below every pivot of the left block, and back-reduction changes
+only the rows above a pivot, so they come out as in the full form.
+Solving uses the full form of the same system.  The quotient step
+diagonalizes a relation matrix with Smith-style integer row/column
+operations; entries may be reduced mod m at any time because the relation
+lattice always contains m*Z^r, so everything stays in [0, m) and int64, as
+the entry points check before allocating: m*m*(rows + columns) < 2^63.
 """
 
 from __future__ import annotations
@@ -54,11 +59,13 @@ def _normalizing_unit(a: int, m: int) -> int:
 
 def _push(pending: dict, block: np.ndarray, start: int) -> None:
     """File each nonzero row of ``block`` (first column ``start``) as its tail
-    from its leading column on."""
-    block = block[block.any(axis=1)]
-    if block.size:
-        leads = (block != 0).argmax(axis=1)
-        for lead in dict.fromkeys(leads.tolist()):
+    from its leading column on; zero rows are skipped without copying."""
+    if not block.size:
+        return
+    nonzero = block != 0
+    leads = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    for lead in dict.fromkeys(leads.tolist()):
+        if lead >= 0:
             pending[start + lead].append(block[leads == lead, lead:])
 
 
@@ -74,14 +81,9 @@ def _pivot_coefficients(column: list[int], m: int) -> list[int]:
     return s
 
 
-def howell_form(matrix, m: int) -> np.ndarray:
-    """Canonical Howell basis of the row span of ``matrix`` over Z/m.
-
-    Rows come out with strictly increasing pivot columns; each pivot
-    divides m, and entries above a pivot are reduced below it.  The key
-    property beyond echelon form: every element of the span whose leading
-    entry sits in column >= j already lies in the span of the rows with
-    pivot column >= j.
+def _eliminate(a: np.ndarray, m: int) -> list[tuple[int, np.ndarray]]:
+    """Pivot rows of the Howell form of ``a`` (entries already in [0, m)),
+    before back-reduction: (pivot column j, the row's tail from column j).
 
     Column j is one step over the block of pending rows leading there: an
     xgcd chain down its first column gives s, the pivot s @ block times a
@@ -89,11 +91,8 @@ def howell_form(matrix, m: int) -> np.ndarray:
     pivot (r = rest + (r_j/d) * pivot keeps the span), and the annihilator
     (m/d) * pivot joins the pending rows.
     """
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    # at most nrows + one annihilator per column are ever pending
-    _check_modulus(m, sum(a.shape))
     pending: dict[int, list[np.ndarray]] = defaultdict(list)
-    _push(pending, a % m, 0)
+    _push(pending, a, 0)
     pivots: list[tuple[int, np.ndarray]] = []
     for j in range(a.shape[1]):
         chunks = pending.pop(j, None)
@@ -105,11 +104,20 @@ def howell_form(matrix, m: int) -> np.ndarray:
         pivot = (_normalizing_unit(int(pivot[0]), m) * pivot) % m
         d = int(pivot[0])
         if len(block) > 1:  # a lone row's rest is a multiple of the annihilator
-            _push(pending, (block[:, 1:] - (block[:, :1] // d) * pivot[1:]) % m, j + 1)
+            rest = np.multiply.outer(block[:, 0] // d, pivot[1:])
+            np.subtract(block[:, 1:], rest, out=rest)
+            rest %= m
+            _push(pending, rest, j + 1)
         if d != 1:
             _push(pending, ((m // d) * pivot[None, 1:]) % m, j + 1)
         pivots.append((j, pivot))
-    basis = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    return pivots
+
+
+def _back_reduce(pivots: list[tuple[int, np.ndarray]], ncols: int, m: int) -> np.ndarray:
+    """The (column, tail) pivot rows as a basis of width ``ncols``, with the
+    entries above each pivot reduced below it; pivot k changes only rows above k."""
+    basis = np.zeros((len(pivots), ncols), dtype=np.int64)
     for k, (j, pivot) in enumerate(pivots):
         basis[k, j:] = pivot
         above = basis[:k, j] // pivot[0]
@@ -118,27 +126,55 @@ def howell_form(matrix, m: int) -> np.ndarray:
     return basis
 
 
+def howell_form(matrix, m: int) -> np.ndarray:
+    """Canonical Howell basis of the row span of ``matrix`` over Z/m.
+
+    Rows come out with strictly increasing pivot columns; each pivot
+    divides m, and entries above a pivot are reduced below it.  The key
+    property beyond echelon form: every element of the span whose leading
+    entry sits in column >= j already lies in the span of the rows with
+    pivot column >= j.
+    """
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    # at most nrows + one annihilator per column are ever pending
+    _check_modulus(m, sum(a.shape))
+    return _back_reduce(_eliminate(a % m, m), a.shape[1], m)
+
+
 def module_size(howell_rows: np.ndarray, m: int) -> int:
     """Number of elements of the module spanned by a Howell basis."""
     return prod(m // int(row[np.flatnonzero(row)[0]]) for row in np.atleast_2d(howell_rows) if row.any())
 
 
+def _transpose_system(matrix, m: int) -> tuple[int, np.ndarray]:
+    """(rows of A, [A^T | I] mod m) for A = matrix, built as one array."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    nrows, ncols = a.shape
+    _check_modulus(m, nrows + 2 * ncols)
+    system = np.zeros((ncols, nrows + ncols), dtype=np.int64)
+    np.remainder(a.T, m, out=system[:, :nrows])
+    system[np.arange(ncols), nrows + np.arange(ncols)] = 1 % m
+    return nrows, system
+
+
 def _howell_of_transpose(matrix, m: int) -> tuple[int, np.ndarray]:
     """(rows of A, Howell form of [A^T | I]) for A = matrix mod m."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
-    _check_modulus(m, a.shape[0] + 2 * a.shape[1])
-    return a.shape[0], howell_form(np.hstack([a.T % m, np.eye(a.shape[1], dtype=np.int64)]), m)
+    nrows, system = _transpose_system(matrix, m)
+    return nrows, _back_reduce(_eliminate(system, m), system.shape[1], m)
 
 
 def kernel_mod(matrix, m: int) -> np.ndarray:
     """Howell basis of the right kernel {v : matrix @ v = 0 mod m}.
 
-    Works by row-reducing [matrix^T | I]: the rows of the span are
-    (matrix @ c | c), so the rows whose left block vanished carry kernel
-    vectors -- and by the Howell property they generate the whole kernel.
+    The rows of the span of [matrix^T | I] are (matrix @ c | c), so the
+    Howell rows whose pivot lies in the right block carry kernel vectors,
+    and by the Howell property they generate the whole kernel.  Only those
+    pivots are back-reduced: they sit below every pivot of the left block,
+    and reducing a pivot touches only the rows above it.
     """
-    nrows, h = _howell_of_transpose(matrix, m)
-    return h[~h[:, :nrows].any(axis=1), nrows:]
+    nrows, system = _transpose_system(matrix, m)
+    kernel = [(j - nrows, pivot) for j, pivot in _eliminate(system, m) if j >= nrows]
+    return _back_reduce(kernel, system.shape[1] - nrows, m)
 
 
 def solve_mod(matrix, rhs, m: int) -> np.ndarray | None:

@@ -14,6 +14,7 @@ from cocycle_lab.cochains import (
     NotACocycle,
     _root_exponents,
     boundary_matrix,
+    coboundary_law,
     cochain_exponents,
     cocycle3_failure,
     cohomology,
@@ -27,6 +28,8 @@ from cocycle_lab.cochains import (
     is_cocycle3,
     is_normalized2,
     is_normalized3,
+    law_rows,
+    nondegenerate,
     normalize3,
 )
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
@@ -284,6 +287,41 @@ def test_cohomology_argument_guards():
     for n, m in ((3, 0), (3, -3), (0, 2)):
         with pytest.raises(ValueError):
             cohomology(cyclic(2), n, m)
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
+def test_normalized_law_rows_are_the_nondegenerate_slice(orders):
+    group = FiniteAbelianGroup(orders)
+    m = group.size
+    for n in (1, 2, 3):
+        full = boundary_matrix(group, n, m)
+        expected = full[np.ix_(nondegenerate(group, n + 1), nondegenerate(group, n))]
+        matrix, rhs = law_rows(coboundary_law(n), group, "f", m, normalized=True)
+        assert matrix.shape == expected.shape and matrix.tobytes() == expected.tobytes()
+        assert rhs.shape == (expected.shape[0],) and not rhs.any()
+
+
+def test_cohomology_memory_peak():
+    # the normalized system is built directly and [A^T | I] exists once
+    tracemalloc.start()
+    try:
+        report = cohomology(FiniteAbelianGroup((3, 3)), 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.invariant_factors == [3, 3, 3, 3]
+    assert peak < 64 * 2**20
+
+
+def test_cohomology_cell_bound_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cells"):
+            cohomology(cyclic(20), 3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_boundary_matrix_cell_bound_refuses_before_allocating():

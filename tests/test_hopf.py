@@ -480,3 +480,27 @@ def test_tensor_json_roundtrip(G):
     tensor = klein_reassociator(phi_X({"sigma", "rho"}))
     data = tensor.to_json()
     assert GroupAlgebraTensor.from_json(data) == tensor
+
+
+def test_tensor_json_names_the_bad_field():
+    data = klein_reassociator(phi_X({"sigma", "rho"})).to_json()
+    cases = [
+        (lambda d: d.update(arity=2.7), TypeError, "arity"),  # int() read this as 2
+        (lambda d: d.pop("arity"), TypeError, "arity"),
+        (lambda d: d.pop("terms"), ValueError, "terms"),  # a bare KeyError before
+        (lambda d: d.update(terms={}), ValueError, "terms"),
+        (lambda d: d.pop("group"), ValueError, "group"),
+        (lambda d: d["group"].pop("orders"), ValueError, r"group\.orders"),
+        (lambda d: d["terms"].__setitem__(0, 5), ValueError, r"terms\[0\]\.elems"),
+        (lambda d: d["terms"][0].pop("elems"), ValueError, r"terms\[0\]\.elems"),
+        (lambda d: d["terms"][0].update(elems=[[0, 0]]), ValueError, r"terms\[0\]\.elems"),
+        (lambda d: d["terms"][0]["elems"].__setitem__(1, [1]), ValueError, r"terms\[0\]\.elems"),
+        (lambda d: d["terms"][0].pop("coeff"), ValueError, r"terms\[0\]\.coeff"),
+    ]
+    for mutate, error, field in cases:
+        bad = json.loads(json.dumps(data))
+        mutate(bad)
+        with pytest.raises(error, match=field):
+            GroupAlgebraTensor.from_json(bad)
+    with pytest.raises(ValueError, match="group"):
+        GroupAlgebraTensor.from_json([data])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from cocycle_lab.cochains import cyclic_twist_cochain
@@ -262,9 +263,16 @@ def test_floats_are_refused():
         lambda: CycScalar(4, [0.5, 2.9]),
         lambda: CycScalar(4, [1], 2.5),
         lambda: CycScalar(4.0, [1]),
+        # root_of_unity and ** used to truncate these to i; (4.0, 1) comes
+        # after (4, 1) is cached, so an untyped cache would answer it
+        lambda: root_of_unity(4, 1.5),
+        lambda: root_of_unity(4, 1) ** 1.5,
+        lambda: root_of_unity(4.0, 1),
     ):
         with pytest.raises(TypeError):
             build()
+    # numpy integers stay accepted
+    assert root_of_unity(np.int64(4), np.int64(5)) ** np.int64(2) == -1
     # the numerator/denominator strings that to_json writes stay accepted
     data = {"conductor": 4, "coeffs": [["1", "2"], [-3, "4"]]}
     assert CycScalar.from_json(data) == CycScalar(4, [2, -3], 4)

@@ -206,6 +206,33 @@ def test_howell_form_matches_sequential_reference(m):
         assert not (a @ kernel.T % m).any()
 
 
+def _reference_kernel(matrix, m):
+    """The rows of the Howell form of [A^T | I] whose left block is zero."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    h = howell_form(np.hstack([a.T % m, np.eye(a.shape[1], dtype=np.int64)]), m)
+    return h[~h[:, : a.shape[0]].any(axis=1), a.shape[0]:]
+
+
+def _kernel_corpus(m, seed):
+    rng = np.random.default_rng(seed)
+    yield np.array([[rng.integers(m)]])
+    yield np.zeros((5, 7), dtype=np.int64)
+    yield np.zeros((4, 0), dtype=np.int64)
+    yield np.zeros((0, 4), dtype=np.int64)
+    for rows, cols in [(3, 20), (20, 3), (12, 12), (40, 9), (9, 40), (1, 15), (15, 1)]:
+        for density in (0.15, 0.6, 1.0):
+            a = rng.integers(-2 * m, 2 * m, size=(rows, cols))
+            yield a * (rng.random((rows, cols)) < density)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 30])
+def test_kernel_mod_matches_the_full_howell_extraction(m):
+    # kernel_mod back-reduces only the pivots of the right block; the full
+    # Howell form of [A^T | I] must give the same rows, byte for byte
+    for a in _kernel_corpus(m, seed=m):
+        assert _same_bytes(kernel_mod(a, m), _reference_kernel(a, m))
+
+
 @pytest.mark.parametrize("m", [2, 4, 6, 9, 12, 30, 36])
 def test_solve_mod_residuals_against_reference_spans(m):
     rng = random.Random(m)
