@@ -3,9 +3,10 @@
 A braiding on the graded category attached to (G, phi) is an R-matrix
 R: G x G -> k* making (phi, R) satisfy the two hexagon identities.  The
 laws declared here (see ``cochains.Law``) are HEXAGONS, R_PSI (the
-R-matrix psi(x,y)^-1 psi(y,x) of a 2-cochain) and QUADRATIC_FORM, the
-seven-term identity.  ``hexagon_failure`` and ``is_quadratic_form`` take
-their first failure, ``abelian_coboundary`` the value map of R_PSI, and
+R-matrix psi(x,y)^-1 psi(y,x) of a 2-cochain), SYMMETRY, QUADRATIC_FORM,
+the seven-term identity, and INVERSE_SYMMETRY, Q(x^-1) = Q(x).
+``hexagon_failure``, ``is_symmetric`` and ``is_quadratic_form`` take their
+first failure, ``abelian_coboundary`` the value map of R_PSI, and
 ``abelian_cohomologous``, ``count_hexagon_solutions_mu`` and
 ``enumerate_quadratic_forms`` their Z/m rows.
 
@@ -54,6 +55,8 @@ HEXAGONS = (
 )
 R_PSI = law("+psi(y,x) -psi(x,y)")
 QUADRATIC_FORM = law("+Q(xyz) +Q(x) +Q(y) +Q(z) -Q(xy) -Q(xz) -Q(yz)")
+INVERSE_SYMMETRY = law("+Q(X) -Q(x)")
+SYMMETRY = law("+R(x,y) +R(y,x)")
 
 
 def _require_pair(phi: Cochain, R: Cochain) -> None:
@@ -153,27 +156,26 @@ def trace(ac: AbelianCocycle) -> QuadraticForm:
 
 def is_quadratic_form(Q: QuadraticForm) -> bool:
     """Exhaustive check of Q(x^-1) = Q(x) and the seven-term identity."""
-    v = Q.values
-    if any(val.is_zero() for val in v.values()):
+    if any(val.is_zero() for val in Q.values.values()):
         return False
-    for x in Q.group.elements():
-        if v[x.inverse()] != v[x]:
-            return False
-    dense = [v[x] for x in Q.group.elements()]
-    return first_failure([QUADRATIC_FORM], Q.group, {"Q": dense}) is None
+    tables = {"Q": [Q.values[x] for x in Q.group.elements()]}
+    return all(
+        first_failure([rule], Q.group, tables) is None
+        for rule in (INVERSE_SYMMETRY, QUADRATIC_FORM)
+    )
 
 
 def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list[QuadraticForm]:
     """All quadratic forms with values in mu_conductor, in lexicographic order of exponents.
 
-    In exponents the forms are the kernel over Z/conductor of the
-    seven-term rows and the rows Q(x^-1) - Q(x).  Each kernel element is
+    In exponents the forms are the kernel over Z/conductor of the rows of
+    QUADRATIC_FORM and INVERSE_SYMMETRY.  Each kernel element is
     sum c_i h_i for exactly one choice of 0 <= c_i < conductor / pivot_i
     over the rows h_i of its Howell basis.
     """
-    eye = np.eye(group.size, dtype=np.int64)
-    inverse = (group.cayley_table() == 0).argmax(axis=1)  # x * x^-1 = e, index 0
-    rows = np.vstack([law_rows(QUADRATIC_FORM, group, "Q", conductor)[0], eye[inverse] - eye])
+    rows = np.vstack([
+        law_rows(rule, group, "Q", conductor)[0] for rule in (QUADRATIC_FORM, INVERSE_SYMMETRY)
+    ])
     kernel = kernel_mod(rows, conductor)
     ranges = [range(conductor // int(h[np.flatnonzero(h)[0]])) for h in kernel]
     coefficients = np.array(list(_cartesian(*ranges)), dtype=np.int64)  # (1, 0) for {0}
@@ -275,6 +277,8 @@ def enumerate_klein_braidings(conductor: int = 4) -> list[tuple[str, AbelianCocy
     the conductor lacks one, only the 8 bilinear braidings over the
     trivial cocycle exist.
     """
+    if conductor < 1:
+        raise ValueError(f"the conductor must be a positive integer, got {conductor}")
     labels = list(klein_tables.WORD_LABELS)
     if conductor % 4 == 0:
         labels = list(klein_tables.QF_LABELS)
@@ -283,10 +287,7 @@ def enumerate_klein_braidings(conductor: int = 4) -> list[tuple[str, AbelianCocy
 
 def is_symmetric(ac: AbelianCocycle) -> bool:
     """Whether R(x, y) R(y, x) = 1 for every pair."""
-    r = ac.R.values
-    return all(
-        (r[(x, y)] * r[(y, x)]).is_one() for x, y in ac.group.tuples(2)
-    )
+    return first_failure([SYMMETRY], ac.group, {"R": ac.R.dense()}) is None
 
 
 # ----------------------------------------------------------------- #

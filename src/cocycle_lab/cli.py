@@ -321,6 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.conductor < 1:
+            raise ValueError(f"--conductor must be a positive integer, got {args.conductor}")
         return args.fn(args)
     except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

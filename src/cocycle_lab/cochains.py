@@ -2,20 +2,22 @@
 
 A degree-n cochain is a total table G^n -> k* of nonzero cyclotomic
 scalars.  Each coherence law is declared once, as a ``Law``: signed terms
-``slot(word, ...)``, a word being a product of variables, whose product is
-1 at every point of G^arity.  Declared here is ``coboundary_law(n)``; at
-n = 3 it is the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt)
-+f(x,y,z).  Laws run on element indices, through the group's Cayley
-table, and every use is one of three derivations:
+``slot(word, ...)``, a word being a product of variables (an upper-case
+letter is the inverse of its variable, an empty word is e), whose product
+is 1 at every point of G^arity.  Declared here are ``CONSTANT_ON_E`` and
+``coboundary_law(n)``; at n = 3 the latter is the 3-cocycle law
++f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt) +f(x,y,z).  Laws run on
+element indices, through the group's Cayley table, and every use is one
+of three derivations:
 
-  first_failure -- first point where the + and - products differ, exactly
-                   (``cocycle3_failure``).  When every value of every table
-                   is a root of unity (observed from the input), each value
-                   is zeta_m^k with m = lcm(2, the conductors), and a law is
-                   checked at all points at once as a signed sum of exponent
-                   arrays mod m; any other value keeps the CycScalar products.
-                   Both report the same (law index, point);
   evaluate      -- the signed product at every point (``Cochain.delta``);
+  first_failure -- the first point, in ``group.tuples`` order, where a law
+                   does not hold (``cocycle3_failure``).  When every value
+                   of every table is a root of unity (observed from the
+                   input), each value is zeta_m^k with m = lcm(2, the
+                   conductors), and a law holds where its signed sum of
+                   exponents is 0 mod m; otherwise it holds where
+                   ``evaluate`` is 1.  Both report the same (law index, point);
   law_rows      -- the Z/m system in the exponents of one unknown slot
                    (``boundary_matrix``), or its restriction to strictly
                    normalized cochains (``cohomology``).
@@ -58,12 +60,13 @@ class Cochain:
         expected = group.size**degree
         if len(values) != expected:
             raise ValueError(f"table has {len(values)} entries, expected {expected}")
-        table = {}
-        for key, val in values.items():
-            val = coerce(val)
+        try:
+            table = {key: coerce(values[key]) for key in group.tuples(degree)}
+        except KeyError as missing:
+            raise ValueError(f"table has no entry at {missing.args[0]}") from None
+        for key, val in table.items():
             if val.is_zero():
                 raise ValueError(f"cochain value at {key} is zero; values live in k*")
-            table[key] = val
         self.group = group
         self.degree = degree
         self.values = table
@@ -116,8 +119,8 @@ class Cochain:
         return all(v.is_one() for v in self.values.values())
 
     def dense(self) -> list[CycScalar]:
-        """The values in ``group.tuples(degree)`` order."""
-        return [self.values[args] for args in self.group.tuples(self.degree)]
+        """The values in ``group.tuples(degree)`` order, the order the table is built in."""
+        return list(self.values.values())
 
     def delta(self) -> "Cochain":
         """The multiplicative coboundary, one degree up."""
@@ -187,36 +190,61 @@ def _json_field(data, name: str, kind: type, where: str):
 class Law(NamedTuple):
     """Terms (sign, slot, words) whose signed product is 1 on all of G^arity.
 
-    A word is the tuple of variable positions whose product is the argument.
+    A word is the tuple of variable positions whose product is the argument;
+    position ~p stands for the inverse of variable p.
     """
 
     arity: int
     terms: tuple
 
 
+_TERM = r"\s*([+-])(\w+)\(([xyztXYZT,]*)\)\s*"
+
+
 def law(text: str) -> Law:
-    """Parse signed terms ``+slot(word,...)`` over the variables x, y, z, t."""
+    """Parse signed terms ``+slot(word,...)`` over the variables x, y, z, t.
+
+    An upper-case letter is the inverse of its variable and an empty word is
+    the identity e:
+
+    >>> law("+Q(X) -Q(x)")
+    Law(arity=1, terms=((1, 'Q', ((-1,),)), (-1, 'Q', ((0,),))))
+    >>> law("+c(,x) -c(x,)").terms
+    ((1, 'c', ((), (0,))), (-1, 'c', ((0,), ())))
+
+    Text that is not a sequence of such terms is refused:
+
+    >>> law("+Q(x) -Q(y")
+    Traceback (most recent call last):
+    ValueError: cannot parse '-Q(y' in law '+Q(x) -Q(y'
+    """
+    parsed = re.match(f"(?:{_TERM})+", text)
+    end = parsed.end() if parsed else 0
+    if not parsed or end < len(text):
+        raise ValueError(f"cannot parse {text[end:]!r} in law {text!r}")
     terms = tuple(
         (1 if sign == "+" else -1, slot,
-         tuple(tuple("xyzt".index(v) for v in word.strip()) for word in args.split(",")))
-        for sign, slot, args in re.findall(r"([+-])(\w+)\(([^)]*)\)", text)
+         tuple(tuple("xyzt".index(v) if v.islower() else ~"XYZT".index(v) for v in word)
+               for word in args.split(",")))
+        for sign, slot, args in re.findall(_TERM, text)
     )
-    return Law(1 + max(p for _, _, words in terms for word in words for p in word), terms)
+    return Law(1 + max(max(p, ~p) for _, _, words in terms for word in words for p in word), terms)
 
 
 def positions(rule: Law, group: FiniteAbelianGroup) -> list[tuple[int, str, np.ndarray]]:
     """(sign, slot, flat position of the argument at every point) per term."""
     size, k = group.size, rule.arity
     points = np.arange(group.tuple_count(k))
-    variables = [(points // size ** (k - 1 - p)) % size for p in range(k)]
     table = group.cayley_table()
+    variables = [(points // size ** (k - 1 - p)) % size for p in range(k)]
+    inverse = (table == 0).argmax(axis=1)  # x * x^-1 = e, index 0
     out = []
     for sign, slot, words in rule.terms:
         flat = np.zeros_like(points)
         for word in words:
             value = np.zeros_like(points)  # index 0 is the identity
             for p in word:
-                value = table[value, variables[p]]
+                value = table[value, variables[p] if p >= 0 else inverse[variables[~p]]]
             flat = flat * size + value
         out.append((sign, slot, flat))
     return out
@@ -227,21 +255,27 @@ def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
 
     ``tables`` maps each slot to its dense values.  Points are visited in
     ``group.tuples`` order and, at each point, the laws in the given order.
-    When every value is a root of unity the laws are checked on exponents.
+    When every value is a root of unity the laws are checked on exponents,
+    otherwise on the values ``evaluate`` returns.
     """
-    exponents = _root_exponents(tables)
-    if exponents is not None:
-        return _first_failure_mu(laws, group, *exponents)
-    sides = []
-    for rule in laws:
-        terms = [(sign, tables[slot], flat.tolist()) for sign, slot, flat in positions(rule, group)]
-        sides.append([[(t, f) for s, t, f in terms if s == side] for side in (1, -1)])
-    for index, point in enumerate(group.tuples(laws[0].arity)):
-        for which, (plus, minus) in enumerate(sides):
-            lhs = reduce(mul, [table[flat[index]] for table, flat in plus])
-            if lhs != reduce(mul, [table[flat[index]] for table, flat in minus]):
-                return which, point
-    return None
+    roots = _root_exponents(tables)
+    if roots is None:
+        failing = [[not v.is_one() for v in evaluate(rule, group, tables)] for rule in laws]
+    else:
+        m, exponents = roots
+        failing = [
+            sum(sign * exponents[slot][flat] for sign, slot, flat in positions(rule, group)) % m != 0
+            for rule in laws
+        ]
+    failing = np.array(failing)
+    columns = failing.any(axis=0)
+    if not columns.any():
+        return None
+    index = int(columns.argmax())
+    size, elements = group.size, group.elements()
+    arity = laws[0].arity
+    point = tuple(elements[index // size ** (arity - 1 - p) % size] for p in range(arity))
+    return int(failing[:, index].argmax()), point
 
 
 def _root_exponents(tables: dict):
@@ -261,25 +295,6 @@ def _root_exponents(tables: dict):
             return None
         exponents[slot] = np.array(column, dtype=np.int64)
     return m, exponents
-
-
-def _first_failure_mu(laws, group: FiniteAbelianGroup, m: int, exponents: dict):
-    """first_failure on exponent tables: a law holds where its signed sum is 0 mod m."""
-    failing = []
-    for rule in laws:
-        total = 0
-        for sign, slot, flat in positions(rule, group):
-            total = total + sign * exponents[slot][flat]
-        failing.append(total % m != 0)
-    failing = np.array(failing)
-    columns = failing.any(axis=0)
-    if not columns.any():
-        return None
-    index = int(columns.argmax())
-    size, elements = group.size, group.elements()
-    arity = laws[0].arity
-    point = tuple(elements[index // size ** (arity - 1 - p) % size] for p in range(arity))
-    return int(failing[:, index].argmax()), point
 
 
 def evaluate(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
@@ -355,6 +370,7 @@ def coboundary_law(n: int) -> Law:
 
 
 COCYCLE_LAW = coboundary_law(3)
+CONSTANT_ON_E = (law("+f(,x) -f(,)"), law("+f(x,) -f(,)"))  # f(e, x) = f(x, e) = f(e, e)
 
 
 def pullback(phi: Cochain, group: FiniteAbelianGroup, hom) -> Cochain:
@@ -404,12 +420,7 @@ def is_normalized2(psi: Cochain) -> bool:
     """Whether psi(e, x) = psi(z, e) for all x, z (one common constant)."""
     if psi.degree != 2:
         raise ValueError("expected a degree-2 cochain")
-    e = psi.group.identity()
-    c = psi.values[(e, e)]
-    return all(
-        psi.values[(e, x)] == c and psi.values[(x, e)] == c
-        for x in psi.group.elements()
-    )
+    return first_failure(CONSTANT_ON_E, psi.group, {"f": psi.dense()}) is None
 
 
 class NotACocycle(ValueError):

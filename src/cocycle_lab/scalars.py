@@ -169,8 +169,8 @@ class CycScalar:
         """Embed into Q(zeta_M) for a multiple M of the conductor."""
         if conductor == self.conductor:
             return self
-        if conductor % self.conductor:
-            raise ValueError("can only lift to a multiple of the conductor")
+        if conductor < 1 or conductor % self.conductor:
+            raise ValueError(f"can only lift to a positive multiple of the conductor, not {conductor}")
         step = conductor // self.conductor
         lifted = [0] * ((len(self.nums) - 1) * step + 1) if self.nums else [0]
         for i, x in enumerate(self.nums):

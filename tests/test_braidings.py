@@ -8,6 +8,7 @@ import pytest
 from cocycle_lab import klein_tables
 from cocycle_lab.braidings import (
     HEXAGONS,
+    QUADRATIC_FORM,
     AbelianCocycle,
     QuadraticForm,
     abelian_coboundary,
@@ -35,6 +36,7 @@ from cocycle_lab.cochains import (
     cochain_exponents,
     cocycle3_failure,
     cyclic_phi_q,
+    first_failure,
     is_cocycle3,
     law_rows,
 )
@@ -270,6 +272,12 @@ def test_is_quadratic_form(G):
     assert is_quadratic_form(QuadraticForm(G, table))
     bad = {G.e: CycScalar.one(), G.sigma: I, G.tau: I, G.rho: I}
     assert not is_quadratic_form(QuadraticForm(G, bad))
+    # a nontrivial character of C3 satisfies the seven-term law but not Q(x^-1) = Q(x)
+    c3 = cyclic(3)
+    chi = QuadraticForm(c3, {x: root_of_unity(3, x.exponents[0]) for x in c3.elements()})
+    assert first_failure([QUADRATIC_FORM], c3, {"Q": list(chi.values.values())}) is None
+    assert not is_quadratic_form(chi)
+    assert not any(Q == chi for Q in enumerate_quadratic_forms(c3, 3))
 
 
 def test_quadratic_form_criteria_agree(G):
@@ -345,6 +353,9 @@ def test_census_conductor_two():
     assert [label for label, _ in reps] == list(klein_tables.WORD_LABELS)
     for _, ac in reps:
         assert is_abelian_cocycle(ac.phi, ac.R)
+    for conductor in (0, -8):  # 0 % 4 == 0 listed all 32
+        with pytest.raises(ValueError, match="positive"):
+            enumerate_klein_braidings(conductor)
 
 
 def test_alpha_variants_are_cohomologous():

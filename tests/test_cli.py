@@ -189,6 +189,14 @@ def test_unknown_group(capsys):
         ["cohomology", "--group", "c20", "--modulus", "20"],
         # m^2 exceeds int64 before any row is combined
         ["cohomology", "--group", "c2", "--modulus", "4294967311"],
+        # a conductor below 1: a traceback, the full census, or a run before
+        ["generate", "--family", "h_a", "--a", "i", "--conductor", "-4"],
+        ["braidings", "--conductor", "0"],
+        ["braidings", "--conductor", "-8"],
+        ["hopf", "reassociator", "--n", "3", "--l", "1", "--conductor", "-3"],
+        ["hopf", "build", "--family", "prop54i", "--a", "2", "--conductor", "0"],
+        ["hopf", "delta-crosscheck", "--n", "3", "--conductor", "-1"],
+        ["verify-paper", "--only", "hopf", "--conductor", "0"],
     ],
 )
 def test_invalid_input_exits_with_one_error_line(capsys, argv):

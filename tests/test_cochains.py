@@ -28,9 +28,11 @@ from cocycle_lab.cochains import (
     is_cocycle3,
     is_normalized2,
     is_normalized3,
+    law,
     law_rows,
     nondegenerate,
     normalize3,
+    positions,
 )
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.klein import g_b, h_a, klein_2cochain, phi_X
@@ -424,6 +426,82 @@ def test_cochain_validation(G):
     values[(G.e, G.e)] = CycScalar.zero()
     with pytest.raises(ValueError):
         Cochain(G, 2, values)
+
+
+def test_cochain_names_the_first_missing_tuple(G):
+    # both constructed before and failed later with a bare KeyError
+    with pytest.raises(ValueError, match=re.escape("no entry at (e,)")):
+        Cochain(G, 1, {1: 1, 2: 1, 3: 1, 4: 1})
+    c4 = cyclic(4)
+    with pytest.raises(ValueError, match=re.escape("no entry at (e,)")):
+        Cochain(G, 1, {(x,): 1 for x in c4.elements()})
+    values = {key: 1 for key in G.tuples(2)}
+    del values[(G.sigma, G.tau)]
+    values[(c4.generator(), c4.generator())] = 1
+    with pytest.raises(ValueError, match=re.escape("no entry at (sigma, tau)")):
+        Cochain(G, 2, values)
+
+
+@pytest.mark.parametrize("text, rest", [
+    ("+Q(x) -Q(y", "-Q(y"),
+    ("+Q(x) Q(y)", "Q(y)"),
+    ("+Q(x) -Q(a)", "-Q(a)"),
+    ("+F(x,y) -F(y,x", "-F(y,x"),
+    ("", ""),
+])
+def test_law_refuses_text_it_cannot_parse(text, rest):
+    # a typo used to drop the terms after it silently
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse {rest!r}")):
+        law(text)
+
+
+def element_product(word, point):
+    """The product of a word's variables at a point, inverses included."""
+    return reduce(mul, (point[p] if p >= 0 else point[~p].inverse() for p in word),
+                  point[0].group.identity())
+
+
+@pytest.mark.parametrize("orders", [(3,), (4,), (2, 4)], ids=str)
+def test_positions_of_inverse_words(orders):
+    group = FiniteAbelianGroup(orders)
+    index = {g: i for i, g in enumerate(group.elements())}
+    rule = law("+f(xYz,Zx) -g(,X) +h(T)")
+    assert rule.arity == 4
+    for (sign, slot, flat), (_, _, words) in zip(positions(rule, group), rule.terms):
+        expected = [
+            reduce(lambda acc, g: acc * group.size + index[g],
+                   [element_product(word, point) for word in words], 0)
+            for point in group.tuples(4)
+        ]
+        assert flat.tolist() == expected
+
+
+@pytest.mark.parametrize("orders", [(3,), (4,), (2, 4)], ids=str)
+def test_inverse_symmetry_law_agrees_with_direct_evaluation(orders, rng):
+    # Q(x^-1) = Q(x) on groups where x^-1 != x for some x
+    group = FiniteAbelianGroup(orders)
+    elements = group.elements()
+    rule = law("+Q(X) -Q(x)")
+    m = 8
+    matrix, rhs = law_rows(rule, group, "Q", m)
+    assert not rhs.any()
+    outcomes = set()
+    for trial in range(12):
+        exponents = {x: rng.randrange(m) for x in elements}
+        if trial % 3 == 0:  # symmetric tables, so that the law also holds
+            exponents = {x: exponents[x] + exponents[x.inverse()] for x in elements}
+        vector = np.array([exponents[x] for x in elements])
+        assert ((matrix @ vector) % m).tolist() == [
+            (exponents[x.inverse()] - exponents[x]) % m for x in elements
+        ]
+        bad = next(((x,) for x in elements if exponents[x.inverse()] % m != exponents[x] % m), None)
+        outcomes.add(bad is None)
+        roots = [root_of_unity(m, exponents[x]) for x in elements]
+        non_roots = [CycScalar.rational(2 + exponents[x] % m) for x in elements]
+        for dense in (roots, non_roots):
+            failure = first_failure([rule], group, {"Q": dense})
+            assert failure == (None if bad is None else (0, bad))
+    assert outcomes == {True, False}
 
 
 def object_first_failure(laws, group, tables):

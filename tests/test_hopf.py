@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from cocycle_lab.cochains import (
 )
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.hopf import (
+    COPRODUCT_LAWS,
     GroupAlgebraTensor,
     _collect,
     _push_through_dual,
@@ -436,6 +438,97 @@ def test_cyclic_power_twist():
     with pytest.raises(ValueError):
         cyclic_power_twist(4)  # a primitive fourth root violates the half-sum condition
     assert check_weak_hopf(cyclic_power_twist(5)).passed
+
+
+def tensor_coalgebra_axioms(w) -> dict:
+    """The three coalgebra axioms of a twisted structure, evaluated term by
+    term in k[G]^(xk): the reference for check_weak_hopf's coproduct laws."""
+    group = w.group
+    phi, R, D = w.ambient.phi.values, w.ambient.R.values, w.comultiplication
+
+    def braided_flip(t):
+        return GroupAlgebraTensor(group, 2, {(v, u): c * R[(u, v)] for (u, v), c in t.terms.items()})
+
+    def counit_on(t, leg):
+        return _collect(group, 1, (((key[1 - leg],), c * w.counit[key[leg]]) for key, c in t.terms.items()))
+
+    def coassociative(x):
+        first = _collect(group, 3, (
+            ((a, b, v), c * coeff * phi[(a, b, v)])
+            for (u, v), coeff in D[x].terms.items() for (a, b), c in D[u].terms.items()
+        ))
+        second = _collect(group, 3, (
+            ((u, a, b), coeff * c)
+            for (u, v), coeff in D[x].terms.items() for (a, b), c in D[v].terms.items()
+        ))
+        return first == second
+
+    elements = group.elements()
+    return {
+        "braided_cocommutativity": all(braided_flip(D[x]) == D[x] for x in elements),
+        "counit_law": all(
+            counit_on(D[x], leg) == GroupAlgebraTensor.monomial(group, (x,))
+            for x in elements for leg in (0, 1)
+        ),
+        "coassociativity_up_to_reassociator": all(coassociative(x) for x in elements),
+    }
+
+
+def with_coproduct(w, x, terms):
+    return replace(w, comultiplication={**w.comultiplication, x: GroupAlgebraTensor(w.group, 2, terms)})
+
+
+TWISTED = {
+    "diagonal(-1)": lambda: klein_diagonal_twist(-1),
+    "diagonal(2)": lambda: klein_diagonal_twist(2),
+    "mixed(i)": lambda: klein_mixed_twist(I),
+    "cyclic(3)": lambda: cyclic_power_twist(3),
+    "cyclic(5)": lambda: cyclic_power_twist(5),
+}
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_coproduct_laws_agree_with_the_tensor_oracle(name):
+    w = TWISTED[name]()
+    assert check_weak_hopf(w).passed
+    assert all(tensor_coalgebra_axioms(w).values())
+    cases = [
+        with_coproduct(w, x, {**w.comultiplication[x].terms, key: coeff * factor})
+        for x in w.group.elements()
+        for key, coeff in w.comultiplication[x].terms.items()
+        for factor in (I, 2, -1)
+    ] + [replace(w, counit={**w.counit, x: w.counit[x] + 1}) for x in w.group.elements()]
+    for bad in cases:
+        expected = tensor_coalgebra_axioms(bad)
+        assert not all(expected.values())
+        report = check_weak_hopf(bad)
+        assert {axiom: report.results[axiom] for axiom in COPRODUCT_LAWS} == expected
+    e, last = w.group.identity(), w.group.elements()[-1]
+    assert check_weak_hopf(cases[0]).failures["counit_law"] == f"at ({e},)"  # c(e, e) = i
+    assert check_weak_hopf(cases[-1]).failures["counit_law"] == f"counit at {last} is 1, expected 0"
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_a_coproduct_off_its_support_fails_every_coalgebra_axiom(name):
+    # the law checker reads c(u, v) from D(uv), so D(x) must have exactly the
+    # |G| terms u x u^-1 x; it may fail an axiom that the oracle passes
+    w = TWISTED[name]()
+    group = w.group
+    cases = [
+        with_coproduct(w, x, {k: c for k, c in w.comultiplication[x].terms.items() if k != key})
+        for x in group.elements() for key in w.comultiplication[x].terms
+    ]
+    x, e = group.elements()[1], group.identity()
+    terms = w.comultiplication[x].terms
+    cases.append(with_coproduct(w, x, {**terms, (e, e): 1}))  # one term too many
+    moved = {k: c for k, c in terms.items() if k != (e, x)}
+    cases.append(with_coproduct(w, x, {**moved, (e, e): 1}))  # |G| terms, one off support
+    for bad in cases:
+        assert not all(tensor_coalgebra_axioms(bad).values())
+        report = check_weak_hopf(bad)
+        for axiom in COPRODUCT_LAWS:  # so every axiom that the oracle fails
+            assert not report.results[axiom]
+            assert "does not have exactly the" in report.failures[axiom]
 
 
 def test_comult_crosscheck_order_two():

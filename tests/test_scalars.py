@@ -79,8 +79,9 @@ def test_lift_is_field_embedding(rng):
         b = z ** rng.randrange(3) - rng.randrange(-2, 3)
         assert (a * b).lift(12) == a.lift(12) * b.lift(12)
         assert (a + b).lift(12) == a.lift(12) + b.lift(12)
-    with pytest.raises(ValueError):
-        z.lift(4)
+    for target in (4, 0, -3):  # -3 lifted by a negative step before
+        with pytest.raises(ValueError):
+            z.lift(target)
 
 
 def test_field_axioms_sampled(rng):
