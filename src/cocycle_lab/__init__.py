@@ -10,7 +10,6 @@ reassociators and twisted weak Hopf structures on the group algebras.
 
 from .braidings import (
     AbelianCocycle,
-    QuadraticForm,
     abelian_coboundary,
     abelian_cohomologous,
     categorical_hexagon_check,

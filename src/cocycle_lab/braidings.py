@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from math import gcd
 
 import numpy as np
 
 from . import klein_tables
 from .cochains import (
     Cochain,
-    _root_exponents,
     boundary_matrix,
     cochain_exponents,
     cochain_from_exponents,
@@ -94,7 +92,7 @@ class AbelianCocycle:
 def hexagon_failure(phi: Cochain, R: Cochain):
     """First (which, x, y, z) violating a hexagon identity, or None."""
     _require_pair(phi, R)
-    failure = first_failure(HEXAGONS, phi.group, {"phi": phi.dense(), "R": R.dense()})
+    failure = first_failure(HEXAGONS, phi.group, {"phi": phi.values, "R": R.values})
     return None if failure is None else (failure[0] + 1, *failure[1])
 
 
@@ -106,66 +104,30 @@ def abelian_coboundary(psi: Cochain) -> AbelianCocycle:
     """(delta2(psi), R_psi) with R_psi(x, y) = psi(x, y)^-1 psi(y, x)."""
     if not is_normalized2(psi):
         raise ValueError("psi must take one common value on pairs containing e")
-    r_values = evaluate(R_PSI, psi.group, {"psi": psi.dense()})
-    return AbelianCocycle(delta2(psi), Cochain.from_dense(psi.group, 2, r_values))
+    r_values = evaluate(R_PSI, psi.group, {"psi": psi.values})
+    return AbelianCocycle(delta2(psi), Cochain(psi.group, 2, r_values))
 
 
 # ----------------------------------------------------------------- #
-# quadratic forms
+# quadratic forms: degree-1 cochains subject to the quadratic-form laws
 # ----------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A total map G -> k* subject to the quadratic-form laws."""
-
-    group: FiniteAbelianGroup
-    values: dict
-
-    def __call__(self, x) -> CycScalar:
-        return self.values[x]
-
-    def __mul__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(
-            self.group, {k: v * other.values[k] for k, v in self.values.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadraticForm)
-            and self.group == other.group
-            and all(v == other.values[k] for k, v in self.values.items())
-        )
-
-    __hash__ = None
-
-    def order(self) -> int:
-        """Order under pointwise multiplication: m / gcd(m, exponents) for values in mu_m."""
-        roots = _root_exponents({"Q": list(self.values.values())})
-        if roots is None:
-            raise ArithmeticError("a value of the form is not a root of unity")
-        m, exponents = roots
-        return m // gcd(m, *exponents["Q"].tolist())
-
-
-def trace(ac: AbelianCocycle) -> QuadraticForm:
+def trace(ac: AbelianCocycle) -> Cochain:
     """Q(x) = R(x, x), the trace of the pair."""
-    return QuadraticForm(
-        ac.group, {x: ac.R.values[(x, x)] for x in ac.group.elements()}
-    )
+    return Cochain.from_function(ac.group, 1, lambda x: ac.R(x, x))
 
 
-def is_quadratic_form(Q: QuadraticForm) -> bool:
+def is_quadratic_form(Q: Cochain) -> bool:
     """Exhaustive check of Q(x^-1) = Q(x) and the seven-term identity."""
-    if any(val.is_zero() for val in Q.values.values()):
-        return False
-    tables = {"Q": [Q.values[x] for x in Q.group.elements()]}
+    if Q.degree != 1:
+        raise ValueError("expected a degree-1 cochain")
     return all(
-        first_failure([rule], Q.group, tables) is None
+        first_failure([rule], Q.group, {"Q": Q.values}) is None
         for rule in (INVERSE_SYMMETRY, QUADRATIC_FORM)
     )
 
 
-def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list[QuadraticForm]:
+def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list[Cochain]:
     """All quadratic forms with values in mu_conductor, in lexicographic order of exponents.
 
     In exponents the forms are the kernel over Z/conductor of the rows of
@@ -180,11 +142,7 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list
     ranges = [range(conductor // int(h[np.flatnonzero(h)[0]])) for h in kernel]
     coefficients = np.array(list(_cartesian(*ranges)), dtype=np.int64)  # (1, 0) for {0}
     exponents = sorted(map(tuple, (coefficients @ kernel % conductor).tolist()))
-    elements = group.elements()
-    return [
-        QuadraticForm(group, {x: root_of_unity(conductor, k) for x, k in zip(elements, vec)})
-        for vec in exponents
-    ]
+    return [Cochain(group, 1, [root_of_unity(conductor, k) for k in vec]) for vec in exponents]
 
 
 # ----------------------------------------------------------------- #
@@ -208,11 +166,8 @@ def klein_braiding_phiX(subset, mu_sigma, mu_tau, mu_rho, alpha=1) -> AbelianCoc
     """
     phi = phi_X(subset)
     G = phi.group
-    eps = {
-        "sigma": phi.values[(G.sigma,) * 3],
-        "tau": phi.values[(G.tau,) * 3],
-        "rho": phi.values[(G.rho,) * 3],
-    }
+    eps = {"sigma": phi(G.sigma, G.sigma, G.sigma), "tau": phi(G.tau, G.tau, G.tau),
+           "rho": phi(G.rho, G.rho, G.rho)}
     if sum(1 for v in eps.values() if v == -1) != 2:
         raise ValueError("the underlying sign cocycle must be even and nontrivial")
     mus = {"sigma": coerce(mu_sigma), "tau": coerce(mu_tau), "rho": coerce(mu_rho)}
@@ -229,7 +184,7 @@ def _klein_braiding(phi: Cochain, mus, alpha) -> AbelianCocycle:
     """The census R-matrix over an even sign cocycle (possibly trivial) on C2xC2."""
     G = phi.group
     ms, mt, mr = mus
-    es, et, er = (phi.values[(x,) * 3] for x in (G.sigma, G.tau, G.rho))
+    es, et, er = (phi(x, x, x) for x in (G.sigma, G.tau, G.rho))
     one = CycScalar.one()
     table = {
         (G.sigma, G.sigma): ms, (G.tau, G.tau): mt, (G.rho, G.rho): mr,
@@ -246,12 +201,12 @@ def _klein_braiding(phi: Cochain, mus, alpha) -> AbelianCocycle:
     return AbelianCocycle(phi, r_matrix)
 
 
-def qf_label(Q: QuadraticForm) -> str:
+def qf_label(Q: Cochain) -> str:
     """The census label of a Klein quadratic form with values in mu_4."""
     G = Q.group
     exps = []
     for x in (G.sigma, G.tau, G.rho):
-        k = as_root_exponent(Q.values[x], 4)
+        k = as_root_exponent(Q(x), 4)
         if k is None:
             raise ValueError("label lookup expects values in mu_4")
         exps.append(k)
@@ -287,7 +242,7 @@ def enumerate_klein_braidings(conductor: int = 4) -> list[tuple[str, AbelianCocy
 
 def is_symmetric(ac: AbelianCocycle) -> bool:
     """Whether R(x, y) R(y, x) = 1 for every pair."""
-    return first_failure([SYMMETRY], ac.group, {"R": ac.R.dense()}) is None
+    return first_failure([SYMMETRY], ac.group, {"R": ac.R.values}) is None
 
 
 # ----------------------------------------------------------------- #
@@ -396,7 +351,7 @@ def categorical_pentagon_check(phi: Cochain) -> bool:
     if phi.degree != 3:
         raise ValueError("expected a degree-3 cochain")
     keys = list(phi.group.tuples(4))
-    f = phi.values
+    f = dict(zip(phi.group.tuples(3), phi.values))
     outer = {k: (k, f[(k[0] * k[1], k[2], k[3])]) for k in keys}
     inner = {k: (k, f[(k[0], k[1], k[2] * k[3])]) for k in keys}
     first = {k: (k, f[(k[0], k[1], k[2])]) for k in keys}
@@ -409,7 +364,8 @@ def categorical_hexagon_check(phi: Cochain, R: Cochain) -> bool:
     """Both hexagon diagrams on three regular graded spaces, by composing monomial maps."""
     _require_pair(phi, R)
     keys = list(phi.group.tuples(3))
-    f, r = phi.values, R.values
+    f = dict(zip(keys, phi.values))
+    r = dict(zip(phi.group.tuples(2), R.values))
     assoc = {k: (k, f[k]) for k in keys}
     assoc_inv = {k: (k, f[k].inv()) for k in keys}
     braid_first_past_rest = {k: ((k[1], k[2], k[0]), r[(k[0], k[1] * k[2])]) for k in keys}

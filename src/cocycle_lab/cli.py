@@ -142,7 +142,7 @@ def cmd_braidings(args) -> int:
     header = "label     " + "".join(f"{f'R({x},{y})':>12}" for x, y in pairs) + "  symmetric"
     print(header)
     for label, ac in reps:
-        cells = "".join(f"{str(ac.R.values[p]):>12}" for p in pairs)
+        cells = "".join(f"{str(ac.R(*p)):>12}" for p in pairs)
         print(f"{label:<10}{cells}  {'yes' if is_symmetric(ac) else 'no'}")
     return 0
 
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hopf_reassociator)
 
     p = hopf_sub.add_parser("build", parents=[shared], help="build a twisted weak Hopf structure")
-    p.add_argument("--group", default="klein", help="ignored: each family fixes its group")
     p.add_argument("--family", required=True, choices=["prop54i", "prop54ii", "prop53"])
     p.add_argument("--a", help="parameter of the diagonal twist")
     p.add_argument("--d", help="parameter of the mixed twist")

@@ -1,14 +1,16 @@
 """Cochains on finite abelian groups with values in k*, and their cohomology.
 
 A degree-n cochain is a total table G^n -> k* of nonzero cyclotomic
-scalars.  Each coherence law is declared once, as a ``Law``: signed terms
-``slot(word, ...)``, a word being a product of variables (an upper-case
-letter is the inverse of its variable, an empty word is e), whose product
-is 1 at every point of G^arity.  Declared here are ``CONSTANT_ON_E`` and
-``coboundary_law(n)``; at n = 3 the latter is the 3-cocycle law
-+f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt) +f(x,y,z).  Laws run on
-element indices, through the group's Cayley table, and every use is one
-of three derivations:
+scalars, stored as one tuple of values in ``group.tuples(n)`` order: every
+law below runs on that tuple as it is, and phi(x, y, z) reads the entry at
+``group.position((x, y, z))``.  Each coherence law is declared once, as a
+``Law``: signed terms ``slot(word, ...)``, a word being a product of
+variables (an upper-case letter is the inverse of its variable, an empty
+word is e), whose product is 1 at every point of G^arity.  Declared here
+are ``CONSTANT_ON_E``, ``NORMALIZED3`` and ``coboundary_law(n)``; at n = 3
+the latter is the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t)
+-f(x,y,zt) +f(x,y,z).  Laws run on element indices, through the group's
+Cayley table, and every use is one of three derivations:
 
   evaluate      -- the signed product at every point (``Cochain.delta``);
   first_failure -- the first point, in ``group.tuples`` order, where a law
@@ -32,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -50,57 +52,47 @@ from .zmodlin import (
 
 
 class Cochain:
-    """A total map G^n -> k* stored as a dense table."""
+    """A total map G^n -> k*: its values as a tuple in ``group.tuples(n)`` order."""
 
     __slots__ = ("group", "degree", "values")
 
-    def __init__(self, group: FiniteAbelianGroup, degree: int, values: dict):
+    def __init__(self, group: FiniteAbelianGroup, degree: int, values):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
+        values = tuple(map(coerce, values))
         expected = group.size**degree
         if len(values) != expected:
             raise ValueError(f"table has {len(values)} entries, expected {expected}")
-        try:
-            table = {key: coerce(values[key]) for key in group.tuples(degree)}
-        except KeyError as missing:
-            raise ValueError(f"table has no entry at {missing.args[0]}") from None
-        for key, val in table.items():
+        for flat, val in enumerate(values):
             if val.is_zero():
-                raise ValueError(f"cochain value at {key} is zero; values live in k*")
+                raise ValueError(
+                    f"cochain value at {group.tuple_at(flat, degree)} is zero; values live in k*"
+                )
         self.group = group
         self.degree = degree
-        self.values = table
+        self.values = values
 
     @classmethod
     def from_function(cls, group, degree, fn) -> "Cochain":
-        return cls(group, degree, {args: fn(*args) for args in group.tuples(degree)})
-
-    @classmethod
-    def from_dense(cls, group, degree, values) -> "Cochain":
-        """The cochain with values listed in ``group.tuples(degree)`` order."""
-        return cls(group, degree, dict(zip(group.tuples(degree), values)))
+        return cls(group, degree, [fn(*args) for args in group.tuples(degree)])
 
     @classmethod
     def constant(cls, group, degree, value=1) -> "Cochain":
         val = coerce(value)
-        return cls(group, degree, {args: val for args in group.tuples(degree)})
+        return cls(group, degree, [val for _ in group.tuples(degree)])
 
     def __call__(self, *args: GroupElement) -> CycScalar:
-        return self.values[args]
+        if len(args) != self.degree:
+            raise TypeError(f"a degree-{self.degree} cochain takes {self.degree} elements")
+        return self.values[self.group.position(args)]
 
     def __mul__(self, other: "Cochain") -> "Cochain":
         if (self.group, self.degree) != (other.group, other.degree):
             raise ValueError("cochains must share group and degree")
-        return Cochain(
-            self.group,
-            self.degree,
-            {k: v * other.values[k] for k, v in self.values.items()},
-        )
+        return Cochain(self.group, self.degree, map(mul, self.values, other.values))
 
     def inv(self) -> "Cochain":
-        return Cochain(
-            self.group, self.degree, {k: v.inv() for k, v in self.values.items()}
-        )
+        return Cochain(self.group, self.degree, [v.inv() for v in self.values])
 
     def __truediv__(self, other: "Cochain") -> "Cochain":
         return self * other.inv()
@@ -110,22 +102,26 @@ class Cochain:
             isinstance(other, Cochain)
             and self.group == other.group
             and self.degree == other.degree
-            and all(v == other.values[k] for k, v in self.values.items())
+            and self.values == other.values
         )
 
     __hash__ = None
 
     def is_trivial(self) -> bool:
-        return all(v.is_one() for v in self.values.values())
+        return all(v.is_one() for v in self.values)
 
-    def dense(self) -> list[CycScalar]:
-        """The values in ``group.tuples(degree)`` order, the order the table is built in."""
-        return list(self.values.values())
+    def order(self) -> int:
+        """Order under pointwise multiplication: m / gcd(m, exponents) for values in mu_m."""
+        roots = _root_exponents({"f": self.values})
+        if roots is None:
+            raise ArithmeticError("a value of the cochain is not a root of unity")
+        m, exponents = roots
+        return m // gcd(m, *exponents["f"].tolist())
 
     def delta(self) -> "Cochain":
         """The multiplicative coboundary, one degree up."""
-        values = evaluate(coboundary_law(self.degree), self.group, {"f": self.dense()})
-        return Cochain.from_dense(self.group, self.degree + 1, values)
+        values = evaluate(coboundary_law(self.degree), self.group, {"f": self.values})
+        return Cochain(self.group, self.degree + 1, values)
 
     def __repr__(self) -> str:
         return f"Cochain({self.group!r}, degree={self.degree})"
@@ -137,15 +133,22 @@ class Cochain:
             "values": [
                 {"args": [g.to_json() for g in key], "value": val.to_json()}
                 for key, val in sorted(
-                    self.values.items(), key=lambda kv: tuple(g.exponents for g in kv[0])
+                    zip(self.group.tuples(self.degree), self.values),
+                    key=lambda kv: tuple(g.exponents for g in kv[0]),
                 )
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Cochain":
-        """Read the form ``to_json`` writes; a malformed field raises an error naming it."""
-        return cls(*table_from_json(data, "cochain", "degree", "values", "args", "value"))
+        """Read the form ``to_json`` writes; a malformed field raises an error
+        naming it, and a table without some tuple an error naming the first."""
+        group, degree, table = table_from_json(data, "cochain", "degree", "values", "args", "value")
+        try:
+            values = [table[key] for key in (group.tuples(degree) if degree >= 0 else ())]
+        except KeyError as missing:
+            raise ValueError(f"table has no entry at {missing.args[0]}") from None
+        return cls(group, degree, values)
 
 
 def table_from_json(data, record: str, arity: str, entries: str, key: str, value: str):
@@ -272,10 +275,7 @@ def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
     if not columns.any():
         return None
     index = int(columns.argmax())
-    size, elements = group.size, group.elements()
-    arity = laws[0].arity
-    point = tuple(elements[index // size ** (arity - 1 - p) % size] for p in range(arity))
-    return int(failing[:, index].argmax()), point
+    return int(failing[:, index].argmax()), group.tuple_at(index, laws[0].arity)
 
 
 def _root_exponents(tables: dict):
@@ -371,14 +371,12 @@ def coboundary_law(n: int) -> Law:
 
 COCYCLE_LAW = coboundary_law(3)
 CONSTANT_ON_E = (law("+f(,x) -f(,)"), law("+f(x,) -f(,)"))  # f(e, x) = f(x, e) = f(e, e)
+NORMALIZED3 = law("+f(x,,y)")  # f(x, e, y) = 1
 
 
 def pullback(phi: Cochain, group: FiniteAbelianGroup, hom) -> Cochain:
     """phi(hom(x_1), ..., hom(x_n)) for a homomorphism hom: group -> phi.group."""
-    image = {x: hom(x) for x in group.elements()}
-    return Cochain.from_function(
-        group, phi.degree, lambda *args: phi.values[tuple(image[x] for x in args)]
-    )
+    return Cochain.from_function(group, phi.degree, lambda *args: phi(*map(hom, args)))
 
 
 def delta2(g: Cochain) -> Cochain:
@@ -397,7 +395,7 @@ def cocycle3_failure(phi: Cochain):
     """First quadruple violating the 3-cocycle identity, or None."""
     if phi.degree != 3:
         raise ValueError("expected a degree-3 cochain")
-    failure = first_failure([COCYCLE_LAW], phi.group, {"f": phi.dense()})
+    failure = first_failure([COCYCLE_LAW], phi.group, {"f": phi.values})
     return None if failure is None else failure[1]
 
 
@@ -406,21 +404,17 @@ def is_cocycle3(phi: Cochain) -> bool:
 
 
 def is_normalized3(phi: Cochain) -> bool:
+    """Whether phi(x, e, z) = 1 for all x, z."""
     if phi.degree != 3:
         raise ValueError("expected a degree-3 cochain")
-    e = phi.group.identity()
-    return all(
-        phi.values[(x, e, z)].is_one()
-        for x in phi.group.elements()
-        for z in phi.group.elements()
-    )
+    return first_failure([NORMALIZED3], phi.group, {"f": phi.values}) is None
 
 
 def is_normalized2(psi: Cochain) -> bool:
     """Whether psi(e, x) = psi(z, e) for all x, z (one common constant)."""
     if psi.degree != 2:
         raise ValueError("expected a degree-2 cochain")
-    return first_failure(CONSTANT_ON_E, psi.group, {"f": psi.dense()}) is None
+    return first_failure(CONSTANT_ON_E, psi.group, {"f": psi.values}) is None
 
 
 class NotACocycle(ValueError):
@@ -442,7 +436,7 @@ def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
         raise NotACocycle(bad)
     e = phi.group.identity()
     witness = Cochain.from_function(
-        phi.group, 2, lambda x, y: phi.values[(e, e, y)].inv() * phi.values[(x, e, e)]
+        phi.group, 2, lambda x, y: phi(e, e, y).inv() * phi(x, e, e)
     )
     normalized = phi * delta2(witness)
     if not is_normalized3(normalized):
@@ -529,8 +523,8 @@ def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
 def cochain_exponents(phi: Cochain, m: int) -> np.ndarray:
     """Exponent vector of a mu_m-valued cochain; error outside mu_m."""
     exponents = []
-    for args in phi.group.tuples(phi.degree):
-        k = as_root_exponent(phi.values[args], m)
+    for args, value in zip(phi.group.tuples(phi.degree), phi.values):
+        k = as_root_exponent(value, m)
         if k is None:
             raise ValueError(f"value at {args} is not in mu_{m}; undecidable in mu_{m} backend")
         exponents.append(k)
@@ -538,7 +532,7 @@ def cochain_exponents(phi: Cochain, m: int) -> np.ndarray:
 
 
 def cochain_from_exponents(group, degree: int, vec, m: int) -> Cochain:
-    return Cochain.from_dense(group, degree, [root_of_unity(m, int(k) % m) for k in vec])
+    return Cochain(group, degree, [root_of_unity(m, int(k) % m) for k in vec])
 
 
 def is_coboundary_mu(phi: Cochain, m: int) -> Cochain | None:

@@ -151,6 +151,33 @@ class FiniteAbelianGroup:
         self.tuple_count(n)
         return _cartesian(self.elements(), repeat=n)
 
+    def position(self, elements) -> int:
+        """The index of a tuple of elements in ``tuples(len(elements))``.
+
+        An element's index in ``elements()`` is read off its exponents, first
+        coordinate fastest:
+
+        >>> G = klein()
+        >>> G.position((G.tau, G.sigma)), G.position(())
+        (9, 0)
+        """
+        size = self.size
+        flat = 0
+        for g in elements:
+            if g.group.orders != self.orders:
+                raise ValueError(f"{g!r} is not an element of {self!r}")
+            index, stride = 0, 1
+            for e, n in zip(g.exponents, self.orders):
+                index += e * stride
+                stride *= n
+            flat = flat * size + index
+        return flat
+
+    def tuple_at(self, flat: int, n: int) -> tuple[GroupElement, ...]:
+        """The n-tuple at index ``flat`` of ``tuples(n)``; inverse of ``position``."""
+        size, elements = self.size, self.elements()
+        return tuple(elements[flat // size ** (n - 1 - p) % size] for p in range(n))
+
     def generator(self) -> GroupElement:
         if len(self.orders) != 1:
             raise ValueError("generator() is defined only for cyclic groups")

@@ -227,7 +227,7 @@ def is_harrison_3cocycle(phi_tensor: GroupAlgebraTensor) -> bool:
     values = fourier_coefficients(phi_tensor)
     if any(v.is_zero() for v in values):
         raise ValueError("the tensor is not invertible")
-    table = Cochain.from_dense(phi_tensor.group, 3, values)
+    table = Cochain(phi_tensor.group, 3, values)
     return cocycle3_failure(table) is None and is_normalized3(table)
 
 
@@ -299,7 +299,7 @@ def reassociator_transport_cyclic(n: int, l: int, xi) -> GroupAlgebraTensor:
 def _push_through_dual(phi: Cochain, roots) -> GroupAlgebraTensor:
     """sum of phi(x, y, z) u_x (x) u_y (x) u_z over the table of phi: the
     inverse transform, one leg at a time."""
-    table = GroupAlgebraTensor(phi.group, 3, phi.values)
+    table = GroupAlgebraTensor(phi.group, 3, dict(zip(phi.group.tuples(3), phi.values)))
     return _legwise(table, dual_idempotents(phi.group, roots))
 
 
@@ -350,21 +350,19 @@ class WeakBraidedHopf:
 
             phi(a,b,cd) phi(b,c,d)^-1 R(b,c) phi(c,b,d) phi(a,c,bd)^-1
         """
-        F = self.twist.values
-        R = self.ambient.R.values
-        phi = self.ambient.phi.values
+        F, R, phi = self.twist, self.ambient.R, self.ambient.phi
         return _collect(self.group, 2, (
             (
                 (a * c, b * d),
                 c1
                 * c2
-                * phi[(a, b, c * d)]
-                * phi[(b, c, d)].inv()
-                * R[(b, c)]
-                * phi[(c, b, d)]
-                * phi[(a, c, b * d)].inv()
-                * F[(a, c)]
-                * F[(b, d)],
+                * phi(a, b, c * d)
+                * phi(b, c, d).inv()
+                * R(b, c)
+                * phi(c, b, d)
+                * phi(a, c, b * d).inv()
+                * F(a, c)
+                * F(b, d),
             )
             for (a, b), c1 in left.terms.items()
             for (c, d), c2 in right.terms.items()
@@ -375,19 +373,19 @@ def weak_hopf_build(group: FiniteAbelianGroup, F: Cochain) -> WeakBraidedHopf:
     """Assemble the twisted structure for a strictly normalized 2-cochain F."""
     if F.group != group or F.degree != 2:
         raise ValueError("F must be a degree-2 cochain on the given group")
-    if first_failure(STRICT_UNIT, group, {"c": F.dense()}) is not None:
+    if first_failure(STRICT_UNIT, group, {"c": F.values}) is not None:
         raise ValueError("F must satisfy F(e, x) = F(x, e) = 1")
     size = group.size
     inv_size = Fraction(1, size)
     multiplication = {
-        (x, y): (F.values[(x, y)], x * y) for x, y in group.tuples(2)
+        (x, y): (value, x * y) for (x, y), value in zip(group.tuples(2), F.values)
     }
     comultiplication = {}
     for x in group.elements():
         terms = {}
         for u in group.elements():
             v = u.inverse() * x
-            terms[(u, v)] = F.values[(u, v)].inv() * inv_size
+            terms[(u, v)] = F(u, v).inv() * inv_size
         comultiplication[x] = GroupAlgebraTensor(group, 2, terms)
     counit = {
         x: coerce(size if x.is_identity else 0) for x in group.elements()
@@ -441,7 +439,7 @@ def check_weak_hopf(w: WeakBraidedHopf) -> HopfAxiomReport:
             results[name] = False
             failures[name] = message
 
-    tables = {"F": w.twist.dense(), "phi": w.ambient.phi.dense(), "R": w.ambient.R.dense()}
+    tables = {"F": w.twist.values, "phi": w.ambient.phi.values, "R": w.ambient.R.values}
     for x in group.elements():
         terms = w.comultiplication[x].terms
         if len(terms) != size or any(u * v != x for u, v in terms):

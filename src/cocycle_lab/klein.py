@@ -41,13 +41,7 @@ def klein_2cochain(a1=1, a2=1, a3=1, b1=1, b2=1, b3=1, b4=1, b5=1, b6=1, c=1) ->
         (s, t): b1, (t, r): b2, (r, s): b3,
         (t, s): b4, (s, r): b5, (r, t): b6,
     }
-    values = {}
-    for x, y in G.tuples(2):
-        if x.is_identity or y.is_identity:
-            values[(x, y)] = coerce(c)
-        else:
-            values[(x, y)] = coerce(table[(x, y)])
-    return Cochain(G, 2, values)
+    return Cochain.from_function(G, 2, lambda x, y: table.get((x, y), c))
 
 
 @dataclass(frozen=True)
@@ -97,16 +91,12 @@ def reconstruct(params: HappyParams) -> Cochain:
         (r, s, r): p * es * b,   (s, r, s): es * bi,
         (t, r, t): p * et * b,   (r, t, r): et * bi,
     }
-    p_val = p * one
-    values = {}
-    for key in G.tuples(3):
-        if any(g.is_identity for g in key):
-            values[key] = one
-        elif key in table:
-            values[key] = table[key]
-        else:
-            values[key] = p_val  # pairwise distinct non-identity entries
-    return Cochain(G, 3, values)
+    p_val = p * one  # at the pairwise distinct non-identity triples
+
+    def value(*key):
+        return one if any(g.is_identity for g in key) else table.get(key, p_val)
+
+    return Cochain.from_function(G, 3, value)
 
 
 def phi_X(subset) -> Cochain:
@@ -148,10 +138,10 @@ def is_happy(phi: Cochain) -> bool:
     _require_klein3(phi)
     G = phi.group
     e, s, t, r = _named_elements(G)
-    p = phi.values[(s, s, s)] * phi.values[(t, t, t)] * phi.values[(r, r, r)]
+    p = phi(s, s, s) * phi(t, t, t) * phi(r, r, r)
     from itertools import permutations
 
-    return all(phi.values[triple] == p for triple in permutations((s, t, r)))
+    return all(phi(*triple) == p for triple in permutations((s, t, r)))
 
 
 def _require_klein3(phi: Cochain):
@@ -179,14 +169,14 @@ def _happify(phi: Cochain) -> tuple[Cochain, Cochain]:
     """happify without the input checks, for a known normalized Klein cocycle."""
     G = phi.group
     e, s, t, r = _named_elements(G)
-    p = phi.values[(s, t, r)] * phi.values[(t, r, s)] * phi.values[(r, s, t)]
+    p = phi(s, t, r) * phi(t, r, s) * phi(r, s, t)
     witness = klein_2cochain(
         b1=p,
-        b2=phi.values[(s, t, r)].inv(),
-        b3=phi.values[(r, s, t)],
-        b4=phi.values[(t, s, r)],
+        b2=phi(s, t, r).inv(),
+        b3=phi(r, s, t),
+        b4=phi(t, s, r),
         b5=p,
-        b6=phi.values[(s, r, t)].inv(),
+        b6=phi(s, r, t).inv(),
     )
     happy = phi * delta2(witness)
     if not is_happy(happy):
@@ -202,14 +192,14 @@ def happy_params(phi: Cochain) -> HappyParams:
     e, s, t, r = _named_elements(G)
     eps = []
     for x in (s, t, r):
-        v = phi.values[(x, x, x)]
+        v = phi(x, x, x)
         if v == 1:
             eps.append(1)
         elif v == -1:
             eps.append(-1)
         else:
             raise ValueError(f"diagonal value {v} is not a sign")
-    return HappyParams(*eps, phi.values[(t, s, s)], phi.values[(s, t, s)])
+    return HappyParams(*eps, phi(t, s, s), phi(s, t, s))
 
 
 @dataclass(frozen=True)

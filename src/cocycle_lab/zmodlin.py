@@ -10,7 +10,7 @@ read off [A^T | I], built once in one array: its Howell rows with a pivot
 in the right block span the kernel.  Only those rows are back-reduced;
 they lie below every pivot of the left block, and back-reduction changes
 only the rows above a pivot, so they come out as in the full form.
-Solving uses the full form of the same system.  The quotient step
+Solving reads the kernel of [rhs | A].  The quotient step
 diagonalizes a relation matrix with Smith-style integer row/column
 operations; entries may be reduced mod m at any time because the relation
 lattice always contains m*Z^r, so everything stays in [0, m) and int64, as
@@ -157,12 +157,6 @@ def _transpose_system(matrix, m: int) -> tuple[int, np.ndarray]:
     return nrows, system
 
 
-def _howell_of_transpose(matrix, m: int) -> tuple[int, np.ndarray]:
-    """(rows of A, Howell form of [A^T | I]) for A = matrix mod m."""
-    nrows, system = _transpose_system(matrix, m)
-    return nrows, _back_reduce(_eliminate(system, m), system.shape[1], m)
-
-
 def kernel_mod(matrix, m: int) -> np.ndarray:
     """Howell basis of the right kernel {v : matrix @ v = 0 mod m}.
 
@@ -178,21 +172,20 @@ def kernel_mod(matrix, m: int) -> np.ndarray:
 
 
 def solve_mod(matrix, rhs, m: int) -> np.ndarray | None:
-    """One solution x of matrix @ x = rhs over Z/m, or None."""
-    neqs, h = _howell_of_transpose(matrix, m)
-    residual = np.zeros(h.shape[1], dtype=np.int64)
-    residual[:neqs] = np.asarray(rhs, dtype=np.int64) % m
-    for row in h:
-        j = np.flatnonzero(row)[0]
-        if j >= neqs:
-            break
-        q, r = divmod(int(residual[j]), int(row[j]))
-        if r:
-            return None
-        residual = (residual - q * row) % m
-    if residual[:neqs].any():
+    """One solution x of matrix @ x = rhs over Z/m, or None.
+
+    The kernel of [rhs | matrix] holds the (t, y) with t*rhs + matrix @ y = 0.
+    Its t values are the multiples of the first Howell row's column-0 entry,
+    so a solution exists exactly when that entry is 1, and then x = -y.
+    """
+    a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
+    _check_modulus(m, a.shape[0] + 2 * (a.shape[1] + 1))
+    if m == 1:  # Z/1 = 0 solves everything, and its kernel rows are all zero
+        return np.zeros(a.shape[1], dtype=np.int64)
+    kernel = kernel_mod(np.column_stack([np.asarray(rhs, dtype=np.int64), a]), m)
+    if not len(kernel) or kernel[0, 0] != 1:
         return None
-    return (-residual[neqs:]) % m
+    return (-kernel[0, 1:]) % m
 
 
 def _diagonalize_with_basis(relations: np.ndarray, r: int, m: int):

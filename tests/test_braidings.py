@@ -10,7 +10,6 @@ from cocycle_lab.braidings import (
     HEXAGONS,
     QUADRATIC_FORM,
     AbelianCocycle,
-    QuadraticForm,
     abelian_coboundary,
     abelian_cohomologous,
     braiding_for_label,
@@ -77,29 +76,27 @@ def bruteforce_hexagon_count(phi: Cochain, m: int = 4) -> int:
     return int(alive.sum())
 
 
-def bruteforce_quadratic_forms(group, conductor: int) -> list[QuadraticForm]:
+def bruteforce_quadratic_forms(group, conductor: int) -> list[Cochain]:
     """enumerate_quadratic_forms by testing all conductor^|G| candidates."""
-    elements = group.elements()
     mu = [root_of_unity(conductor, k) for k in range(conductor)]
     forms = []
-    for assignment in product(mu, repeat=len(elements)):
-        Q = QuadraticForm(group, dict(zip(elements, assignment)))
+    for assignment in product(mu, repeat=group.size):
+        Q = Cochain(group, 1, assignment)
         if is_quadratic_form(Q):
             forms.append(Q)
     return forms
 
 
-def klein_quadratic_form_criteria(Q: QuadraticForm) -> bool:
+def klein_quadratic_form_criteria(Q: Cochain) -> bool:
     """The three-condition test special to C2xC2 (agrees with the general one)."""
     G = Q.group
     if G.orders != (2, 2):
         raise ValueError("this criterion is specific to C2xC2")
-    v = Q.values
-    if not v[G.e].is_one():
+    if not Q(G.e).is_one():
         return False
-    if any(not (v[x] ** 4).is_one() for x in (G.sigma, G.tau, G.rho)):
+    if any(not (Q(x) ** 4).is_one() for x in (G.sigma, G.tau, G.rho)):
         return False
-    return (v[G.sigma] ** 2 * v[G.tau] ** 2 * v[G.rho] ** 2).is_one()
+    return (Q(G.sigma) ** 2 * Q(G.tau) ** 2 * Q(G.rho) ** 2).is_one()
 
 
 HEXAGON_CASES = (
@@ -118,8 +115,8 @@ def test_hexagon_count_agrees_with_bruteforce(build, m):
     assert count_hexagon_solutions_mu(phi, m) == bruteforce_hexagon_count(phi, m)
 
 
-def _scalars(Q: QuadraticForm) -> list:
-    return [(v.conductor, v.nums, v.den) for v in (Q.values[x] for x in Q.group.elements())]
+def _scalars(Q: Cochain) -> list:
+    return [(v.conductor, v.nums, v.den) for v in Q.values]
 
 
 @pytest.mark.parametrize("orders, conductor", [
@@ -188,7 +185,7 @@ def test_abelian_coboundary(G, rng):
     flip = klein_2cochain(a1=-1, a2=-1, a3=-1, b4=-1, b5=-1, b6=-1)
     pair = abelian_coboundary(flip)
     assert pair.phi.is_trivial()
-    assert pair.R.values[(G.sigma, G.tau)] == -1
+    assert pair.R(G.sigma, G.tau) == -1
     for _ in range(100):
         pair = abelian_coboundary(random_mu4_normalized(rng))
         assert is_abelian_cocycle(pair.phi, pair.R)
@@ -234,19 +231,19 @@ def test_tampered_pairs_fail_first_at_sigma_sigma_tau(G):
     # the tampered E1 and A pairs of the oracle corpus
     for label in ("E1", "A"):
         ac = braiding_for_label(label)
-        tampered = dict(ac.R.values)
-        tampered[(G.sigma, G.tau)] = tampered[(G.sigma, G.tau)] * I
+        tampered = list(ac.R.values)
+        tampered[G.position((G.sigma, G.tau))] *= I
         assert hexagon_failure(ac.phi, Cochain(G, 2, tampered)) == (1, G.sigma, G.sigma, G.tau)
 
 
 def test_trace_values(G):
     column_a = braiding_for_label("A")
     q = trace(column_a)
-    assert q.values[G.sigma] == 1 and q.values[G.tau] == 1 and q.values[G.rho] == -1
+    assert q(G.sigma) == 1 and q(G.tau) == 1 and q(G.rho) == -1
     q = trace(braiding_for_label("E1"))
-    assert q.values[G.sigma] == I and q.values[G.tau] == I and q.values[G.rho] == 1
+    assert q(G.sigma) == I and q(G.tau) == I and q(G.rho) == 1
     unit = AbelianCocycle(Cochain.constant(G, 3, 1), Cochain.constant(G, 2, 1))
-    assert all(v.is_one() for v in trace(unit).values.values())
+    assert trace(unit).is_trivial()
 
 
 def test_trace_is_multiplicative():
@@ -266,16 +263,16 @@ def test_trace_relations_on_all_representatives():
 
 
 def test_is_quadratic_form(G):
-    ones = QuadraticForm(G, {x: CycScalar.one() for x in G.elements()})
-    assert is_quadratic_form(ones)
-    table = {G.e: CycScalar.one(), G.sigma: I, G.tau: I, G.rho: CycScalar.one()}
-    assert is_quadratic_form(QuadraticForm(G, table))
-    bad = {G.e: CycScalar.one(), G.sigma: I, G.tau: I, G.rho: I}
-    assert not is_quadratic_form(QuadraticForm(G, bad))
+    assert is_quadratic_form(Cochain.constant(G, 1, 1))
+    # values at e, sigma, tau, rho
+    assert is_quadratic_form(Cochain(G, 1, [1, I, I, 1]))
+    assert not is_quadratic_form(Cochain(G, 1, [1, I, I, I]))
+    with pytest.raises(ValueError, match="degree-1"):
+        is_quadratic_form(Cochain.constant(G, 2, 1))
     # a nontrivial character of C3 satisfies the seven-term law but not Q(x^-1) = Q(x)
     c3 = cyclic(3)
-    chi = QuadraticForm(c3, {x: root_of_unity(3, x.exponents[0]) for x in c3.elements()})
-    assert first_failure([QUADRATIC_FORM], c3, {"Q": list(chi.values.values())}) is None
+    chi = Cochain.from_function(c3, 1, lambda x: root_of_unity(3, x.exponents[0]))
+    assert first_failure([QUADRATIC_FORM], c3, {"Q": chi.values}) is None
     assert not is_quadratic_form(chi)
     assert not any(Q == chi for Q in enumerate_quadratic_forms(c3, 3))
 
@@ -283,7 +280,7 @@ def test_is_quadratic_form(G):
 def test_quadratic_form_criteria_agree(G):
     mu4 = [root_of_unity(4, k) for k in range(4)]
     for values in product(mu4, repeat=4):
-        Q = QuadraticForm(G, dict(zip(G.elements(), values)))
+        Q = Cochain(G, 1, values)
         assert is_quadratic_form(Q) == klein_quadratic_form_criteria(Q)
 
 
@@ -295,11 +292,10 @@ def test_quadratic_form_census(G):
     assert orders == [1] + [2] * 7 + [4] * 24
     # Q(c^k) = zeta_128^(k^2) on C64 has order 128
     c64 = cyclic(64)
-    wide = QuadraticForm(c64, {x: root_of_unity(128, x.exponents[0] ** 2 % 128)
-                               for x in c64.elements()})
+    wide = Cochain.from_function(c64, 1, lambda x: root_of_unity(128, x.exponents[0] ** 2 % 128))
     assert is_quadratic_form(wide) and wide.order() == 128
     with pytest.raises(ArithmeticError):
-        QuadraticForm(G, {x: CycScalar.rational(2) for x in G.elements()}).order()
+        Cochain.constant(G, 1, 2).order()
     # the census is exactly the image of the braiding representatives
     traces = [trace(ac) for _, ac in enumerate_klein_braidings(4)]
     for Q in forms:
@@ -308,26 +304,26 @@ def test_quadratic_form_census(G):
 
 def test_klein_braiding_trivial_columns(G):
     pair = klein_braiding_trivial(1, 1, -1)
-    assert pair.R.values[(G.tau, G.sigma)] == -1
-    assert pair.R.values[(G.tau, G.rho)] == -1
+    assert pair.R(G.tau, G.sigma) == -1
+    assert pair.R(G.tau, G.rho) == -1
     assert pair.phi.is_trivial()
     unit = klein_braiding_trivial(1, 1, 1)
     assert unit.R.is_trivial()
     abc = klein_braiding_trivial(-1, -1, -1)
-    assert abc.R.values[(G.rho, G.sigma)] == 1
+    assert abc.R(G.rho, G.sigma) == 1
     with pytest.raises(ValueError):
         klein_braiding_trivial(I, 1, 1)
 
 
 def test_klein_braiding_phiX_columns(G):
     pair = klein_braiding_phiX({"sigma", "tau"}, I, I, 1)
-    assert pair.R.values[(G.rho, G.sigma)] == -I
-    assert pair.R.values[(G.tau, G.rho)] == -I
+    assert pair.R(G.rho, G.sigma) == -I
+    assert pair.R(G.tau, G.rho) == -I
     pair = klein_braiding_phiX({"sigma", "rho"}, I, 1, I)
-    assert pair.R.values[(G.tau, G.rho)] == 1
-    assert pair.R.values[(G.rho, G.sigma)] == I
+    assert pair.R(G.tau, G.rho) == 1
+    assert pair.R(G.rho, G.sigma) == I
     pair = klein_braiding_phiX({"tau", "rho"}, 1, I, I)
-    assert pair.R.values[(G.tau, G.rho)] == I
+    assert pair.R(G.tau, G.rho) == I
     with pytest.raises(ValueError):
         klein_braiding_phiX({"sigma"}, I, 1, 1)
     with pytest.raises(ValueError):
@@ -344,7 +340,7 @@ def test_census_against_reference_tables(G):
             assert ac.phi == phi_X(subset)
             assert is_abelian_cocycle(ac.phi, ac.R)
             for (xn, yn), exponent in cells.items():
-                assert ac.R.values[(named[xn], named[yn])] == root_of_unity(4, exponent)
+                assert ac.R(named[xn], named[yn]) == root_of_unity(4, exponent)
             assert qf_label(trace(ac)) == label
 
 
@@ -362,7 +358,7 @@ def test_alpha_variants_are_cohomologous():
     for subset, label in ((frozenset({"sigma", "tau"}), "E1"),
                           (frozenset({"sigma", "rho"}), "E2")):
         plus = braiding_for_label(label)
-        mus = [trace(plus).values[x] for x in (klein().sigma, klein().tau, klein().rho)]
+        mus = [trace(plus)(x) for x in (klein().sigma, klein().tau, klein().rho)]
         minus = klein_braiding_phiX(subset, *mus, alpha=-1)
         assert is_abelian_cocycle(minus.phi, minus.R)
         assert minus.R != plus.R
@@ -378,10 +374,8 @@ def test_bilinearity_splits_the_census(G):
     # the eight braidings over the trivial cocycle are bilinear in each slot;
     # every braiding over a sign cocycle fails bilinearity somewhere
     for label, ac in enumerate_klein_braidings(4):
-        r = ac.R.values
-        bilinear = all(
-            r[(x * y, z)] == r[(x, z)] * r[(y, z)] for x, y, z in G.tuples(3)
-        )
+        r = ac.R
+        bilinear = all(r(x * y, z) == r(x, z) * r(y, z) for x, y, z in G.tuples(3))
         assert bilinear == (label in klein_tables.WORD_LABELS)
 
 
@@ -396,39 +390,39 @@ def test_derived_r_relations_on_sign_blocks(G):
         if not subset:
             continue
         phi = phi_X(subset)
-        es = phi.values[(G.sigma,) * 3]
-        et = phi.values[(G.tau,) * 3]
-        er = phi.values[(G.rho,) * 3]
+        es = phi(G.sigma, G.sigma, G.sigma)
+        et = phi(G.tau, G.tau, G.tau)
+        er = phi(G.rho, G.rho, G.rho)
         for label in block:
-            r = dict(braiding_for_label(label).R.values)
-            ms, mt, mr = r[(G.sigma, G.sigma)], r[(G.tau, G.tau)], r[(G.rho, G.rho)]
+            r = braiding_for_label(label).R
+            ms, mt, mr = r(G.sigma, G.sigma), r(G.tau, G.tau), r(G.rho, G.rho)
             assert ms * ms == es and mt * mt == et and mr * mr == er
-            assert r[(G.rho, G.sigma)] == ms * r[(G.tau, G.sigma)]
-            assert r[(G.tau, G.rho)] == mr * er * et * r[(G.sigma, G.rho)]
-            assert r[(G.sigma, G.tau)] == mt * es * er * r[(G.rho, G.tau)]
-            assert r[(G.sigma, G.tau)] ** 2 == 1
-            assert r[(G.sigma, G.rho)] ** 2 == es
-            assert r[(G.rho, G.tau)] ** 2 == et
-            assert r[(G.sigma, G.rho)] == ms * r[(G.sigma, G.tau)]
-            assert r[(G.rho, G.tau)] * mr == et * r[(G.rho, G.sigma)]
+            assert r(G.rho, G.sigma) == ms * r(G.tau, G.sigma)
+            assert r(G.tau, G.rho) == mr * er * et * r(G.sigma, G.rho)
+            assert r(G.sigma, G.tau) == mt * es * er * r(G.rho, G.tau)
+            assert r(G.sigma, G.tau) ** 2 == 1
+            assert r(G.sigma, G.rho) ** 2 == es
+            assert r(G.rho, G.tau) ** 2 == et
+            assert r(G.sigma, G.rho) == ms * r(G.sigma, G.tau)
+            assert r(G.rho, G.tau) * mr == et * r(G.rho, G.sigma)
 
 
 def test_r_unit_normalization_is_implied(G):
     # every census representative satisfies R(e, x) = R(x, e) = 1
     for _, ac in enumerate_klein_braidings(4):
         for x in G.elements():
-            assert ac.R.values[(G.e, x)].is_one()
-            assert ac.R.values[(x, G.e)].is_one()
+            assert ac.R(G.e, x).is_one()
+            assert ac.R(x, G.e).is_one()
 
 
 def test_cyclic_braiding():
     pair = cyclic_braiding(2, I)
     assert pair.phi == cyclic_phi_q(2, -1)
     c = cyclic(2).generator()
-    assert pair.R.values[(c, c)] == I
+    assert pair.R(c, c) == I
     pair = cyclic_braiding(2, -1)
     assert pair.phi.is_trivial()
-    assert pair.R.values[(c, c)] == -1
+    assert pair.R(c, c) == -1
     pair = cyclic_braiding(3, 1)
     assert pair.phi.is_trivial() and pair.R.is_trivial()
     for n, nu in ((2, I), (3, root_of_unity(3, 1)), (4, I), (6, root_of_unity(6, 1))):
@@ -442,7 +436,7 @@ def test_c2_classes_and_transport(G):
     classes = c2_abelian_cocycles(4)
     assert len(classes) == 4
     c = cyclic(2).generator()
-    assert [ac.R.values[(c, c)] for ac in classes] == [
+    assert [ac.R(c, c) for ac in classes] == [
         CycScalar.one(4), CycScalar.rational(-1).lift(4), I, -I,
     ]
     _, r2, r3, r4 = classes
@@ -473,8 +467,8 @@ def test_categorical_oracle_spot_checks(G):
     assert categorical_hexagon_check(column_a.phi, column_a.R)
     # a valid braiding need not be a symmetry: braiding twice moves a sign
     assert not is_symmetric(column_a)
-    broken = dict(column_a.R.values)
-    broken[(G.sigma, G.rho)] = I
+    broken = list(column_a.R.values)
+    broken[G.position((G.sigma, G.rho))] = I
     assert not categorical_hexagon_check(column_a.phi, Cochain(G, 2, broken))
     assert not is_abelian_cocycle(column_a.phi, Cochain(G, 2, broken))
 
@@ -497,9 +491,9 @@ def test_oracle_rejects_what_the_scalar_checks_reject(G):
 def _times_i_tampers(cochain):
     """The cochain itself, then each copy with one cell multiplied by i."""
     yield cochain
-    for key in cochain.values:
-        tampered = dict(cochain.values)
-        tampered[key] = tampered[key] * I
+    for k in range(len(cochain.values)):
+        tampered = list(cochain.values)
+        tampered[k] *= I
         yield Cochain(cochain.group, cochain.degree, tampered)
 
 

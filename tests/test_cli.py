@@ -45,7 +45,7 @@ def test_generate_qabc(capsys):
     assert code == 0
     table = Cochain.from_json(json.loads(out))
     c = table.group.generator()
-    assert table.values[(c, c, c)] == root_of_unity(3, 1)
+    assert table(c, c, c) == root_of_unity(3, 1)
 
 
 def test_generate_invalid_params(capsys):
@@ -70,8 +70,8 @@ def test_classify_flow(tmp_path, capsys):
 
 def test_classify_rejects_tampered_table(tmp_path, capsys):
     G = klein()
-    broken = dict(phi_X(frozenset()).values)
-    broken[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
+    broken = list(phi_X(frozenset()).values)
+    broken[G.position((G.sigma, G.tau, G.rho))] = CycScalar.rational(3)
     target = tmp_path / "broken.json"
     target.write_text(json.dumps(Cochain(G, 3, broken).to_json()))
     code = main(["classify", "--input", str(target)])
@@ -123,8 +123,8 @@ def test_check_hexagon(tmp_path, capsys):
     assert result["hexagons_hold"] and result["matrix_oracle"]
 
     G = klein()
-    tampered = dict(ac.R.values)
-    tampered[(G.sigma, G.tau)] = root_of_unity(4, 1)
+    tampered = list(ac.R.values)
+    tampered[G.position((G.sigma, G.tau))] = root_of_unity(4, 1)
     r_file.write_text(json.dumps(Cochain(G, 2, tampered).to_json()))
     code, out = run(capsys, "check-hexagon", "--phi", str(phi_file), "--r", str(r_file))
     assert code == 1
@@ -164,6 +164,15 @@ def test_hopf_commands(capsys):
     code, out = run(capsys, "hopf", "delta-crosscheck", "--n", "3")
     assert code == 0
     assert json.loads(out)["total"] == 9
+
+
+def test_hopf_build_refuses_group(capsys):
+    # each family fixes its group; --group used to be accepted and ignored
+    with pytest.raises(SystemExit) as refused:
+        main(["hopf", "build", "--group", "c5", "--family", "prop54i", "--a", "2"])
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --group c5" in captured.err
 
 
 def test_verify_section(capsys):

@@ -53,13 +53,13 @@ def test_delta2_displayed_values(G):
     # the ten-parameter 2-cochain and the full table of its coboundary
     names = dict(a1=2, a2=3, a3=5, b1=7, b2=11, b3=13, b4=17, b5=19, b6=23, c=29)
     g = klein_2cochain(**{k: Fraction(v) for k, v in names.items()})
-    d = delta2(g).values
+    d = delta2(g)
     a1, a2, a3, b1, b2, b3, b4, b5, b6, c = (
         Fraction(names[k]) for k in ("a1", "a2", "a3", "b1", "b2", "b3", "b4", "b5", "b6", "c")
     )
     s, t, r = G.sigma, G.tau, G.rho
     # the diagonal is always trivial
-    assert d[(s, s, s)] == 1 and d[(t, t, t)] == 1 and d[(r, r, r)] == 1
+    assert d(s, s, s) == 1 and d(t, t, t) == 1 and d(r, r, r) == 1
     expected = {
         (s, s, t): b1 * b5 / (a1 * c),
         (r, r, s): b3 * b6 / (a3 * c),
@@ -73,15 +73,15 @@ def test_delta2_displayed_values(G):
         (r, t, s): b4 * a3 / (b6 * a1),
     }
     for key, value in expected.items():
-        assert d[key] == value, key
+        assert d(*key) == value, key
 
 
 def test_delta2_examples(G):
     assert delta2(Cochain.constant(G, 2, 1)).is_trivial()
     g = klein_2cochain(a1=7, a2=7, a3=7)
     d = delta2(g)
-    assert d.values[(G.tau, G.sigma, G.sigma)] == 7
-    assert d.values[(G.sigma, G.sigma, G.tau)] == Fraction(1, 7)
+    assert d(G.tau, G.sigma, G.sigma) == 7
+    assert d(G.sigma, G.sigma, G.tau) == Fraction(1, 7)
 
 
 def test_delta3_kills_coboundaries(G, rng):
@@ -102,8 +102,8 @@ def test_degree_guards(G):
 
 def test_is_cocycle3(G):
     assert is_cocycle3(Cochain.constant(G, 3, 1))
-    broken = dict(Cochain.constant(G, 3, 1).values)
-    broken[(G.sigma, G.sigma, G.sigma)] = CycScalar.rational(2)
+    broken = list(Cochain.constant(G, 3, 1).values)
+    broken[G.position((G.sigma, G.sigma, G.sigma))] = CycScalar.rational(2)
     assert not is_cocycle3(Cochain(G, 3, broken))
     assert is_cocycle3(cyclic_phi_q(2, -1))
 
@@ -115,13 +115,34 @@ def test_is_normalized(G):
         # normalization propagates to the other unit slots
         for x in G.elements():
             for y in G.elements():
-                assert phi.values[(G.e, x, y)].is_one()
-                assert phi.values[(x, y, G.e)].is_one()
+                assert phi(G.e, x, y).is_one()
+                assert phi(x, y, G.e).is_one()
     psi = Cochain.from_function(
         G, 2, lambda x, y: 2 if (x.is_identity and not y.is_identity) else (3 if y.is_identity else 1)
     )
     assert not is_normalized2(psi)
     assert is_normalized2(klein_2cochain(c=5))
+
+
+@pytest.mark.parametrize("phi", [g_b(root_of_unity(4, 1)), cyclic_phi_q(3, root_of_unity(3, 1))],
+                         ids=["klein", "C3"])
+def test_is_normalized3_agrees_with_direct_evaluation(phi):
+    # every single-cell change, on the exponent path (a root) and the object path (2)
+    group, e = phi.group, phi.group.identity()
+
+    def direct(table):
+        return all(table(x, e, z).is_one() for x in group.elements() for z in group.elements())
+
+    assert is_normalized3(phi) and direct(phi)
+    outcomes = set()
+    for factor in (CycScalar.rational(-1), CycScalar.rational(2)):
+        for k in range(len(phi.values)):
+            values = list(phi.values)
+            values[k] *= factor
+            tampered = Cochain(group, 3, values)
+            assert is_normalized3(tampered) == direct(tampered)
+            outcomes.add(direct(tampered))
+    assert outcomes == {True, False}
 
 
 def test_normalize3_on_normalized_input(G):
@@ -138,7 +159,7 @@ def test_normalize3_unit_slot_cochain(G):
     h = klein_2cochain(c=2)
     phi = delta2(h)
     assert is_normalized3(phi)
-    assert phi.values[(G.sigma, G.sigma, G.tau)] == Fraction(1, 2)
+    assert phi(G.sigma, G.sigma, G.tau) == Fraction(1, 2)
     normalized, witness = normalize3(phi)
     assert witness.is_trivial() and normalized == phi
     # with every value 2 the coboundary collapses completely
@@ -155,7 +176,7 @@ def test_normalize3_nonnormalized_input(G):
 
     phi = delta2(Cochain.from_function(G, 2, psi_value))
     assert is_cocycle3(phi) and not is_normalized3(phi)
-    assert phi.values[(G.e,) * 3].is_one()  # forced for every cocycle
+    assert phi(G.e, G.e, G.e).is_one()  # forced for every cocycle
     normalized, witness = normalize3(phi)
     assert is_normalized3(normalized)
     assert normalized == phi * delta2(witness)
@@ -166,11 +187,11 @@ def test_normalize3_nonnormalized_input(G):
 def test_cyclic_phi_q():
     phi = cyclic_phi_q(2, -1)
     c = cyclic(2).generator()
-    assert phi.values[(c, c, c)] == -1
+    assert phi(c, c, c) == -1
     z3 = root_of_unity(3, 1)
     phi = cyclic_phi_q(3, z3)
     c2 = cyclic(3).element([2])
-    assert phi.values[(c2, c2, c2)] == z3**2
+    assert phi(c2, c2, c2) == z3**2
     assert cyclic_phi_q(5, 1).is_trivial()
     for n in range(2, 7):
         for k in range(n):
@@ -192,8 +213,8 @@ def test_cyclic_qabc():
     table = cyclic_qabc(3, z3)
     C3 = cyclic(3)
     c, c2 = C3.generator(), C3.element([2])
-    assert table.values[(c, c, c)] == z3
-    assert table.values[(c2, c2, c2)] == z3**2  # 8 = 2 mod 3
+    assert table(c, c, c) == z3
+    assert table(c2, c2, c2) == z3**2  # 8 = 2 mod 3
     assert is_cocycle3(cyclic_qabc(5, root_of_unity(5, 1)))
     for n in range(2, 7):
         table = cyclic_qabc(n, root_of_unity(n, 1))
@@ -205,8 +226,8 @@ def test_cyclic_qabc_witness():
     witness = cyclic_qabc_coboundary_witness(3, z3)
     C3 = cyclic(3)
     c, c2 = C3.generator(), C3.element([2])
-    assert witness.values[(c2, c)] == z3.inv()  # exponent -(1)(2)(1)/2 = -1
-    assert delta2(witness).values[(c, c, c)] == z3
+    assert witness(c2, c) == z3.inv()  # exponent -(1)(2)(1)/2 = -1
+    assert delta2(witness)(c, c, c) == z3
     assert delta2(witness) == cyclic_qabc(3, z3)
     assert delta2(cyclic_qabc_coboundary_witness(5, root_of_unity(5, 1))) == cyclic_qabc(
         5, root_of_unity(5, 1)
@@ -258,6 +279,9 @@ def test_is_coboundary_mu(G):
     assert found is not None and delta2(found) == h_a(-1)
     with pytest.raises(ValueError):
         is_coboundary_mu(g_b(5), 4)
+    # over mu_1 every value is 1 and the witness is the trivial cochain
+    witness = is_coboundary_mu(trivial, 1)
+    assert witness is not None and witness.is_trivial()
 
 
 def test_cohomology_reports():
@@ -379,8 +403,8 @@ def test_cohomology_pinned(orders, n, m, factors, kernel, image, tables):
 
 
 def test_cocycle_failure_reports_quadruple(G):
-    broken = dict(Cochain.constant(G, 3, 1).values)
-    broken[(G.sigma, G.sigma, G.sigma)] = CycScalar.rational(2)
+    broken = list(Cochain.constant(G, 3, 1).values)
+    broken[G.position((G.sigma, G.sigma, G.sigma))] = CycScalar.rational(2)
     failure = cocycle3_failure(Cochain(G, 3, broken))
     assert failure == (G.sigma, G.sigma, G.sigma, G.sigma)
 
@@ -420,26 +444,26 @@ def test_cochain_json_names_the_bad_field(data, error, field):
 
 
 def test_cochain_validation(G):
-    with pytest.raises(ValueError):
-        Cochain(G, 3, {})
-    values = {key: CycScalar.one() for key in G.tuples(2)}
-    values[(G.e, G.e)] = CycScalar.zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="table has 0 entries, expected 64"):
+        Cochain(G, 3, [])
+    values = [CycScalar.one()] * 16
+    values[G.position((G.sigma, G.e))] = CycScalar.zero()
+    with pytest.raises(ValueError, match=re.escape("value at (sigma, e) is zero")):
         Cochain(G, 2, values)
+    with pytest.raises(TypeError, match="takes 3 elements"):
+        Cochain.constant(G, 3)(G.e, G.e)  # (e, e) would read the entry at (e, e, e)
 
 
 def test_cochain_names_the_first_missing_tuple(G):
-    # both constructed before and failed later with a bare KeyError
+    # a table from outside is a mapping: from_json names the first tuple it lacks
+    data = Cochain.constant(G, 1, 1).to_json()
+    data["values"][0]["args"] = [[1, 0]]  # the entry at e now names sigma a second time
     with pytest.raises(ValueError, match=re.escape("no entry at (e,)")):
-        Cochain(G, 1, {1: 1, 2: 1, 3: 1, 4: 1})
-    c4 = cyclic(4)
-    with pytest.raises(ValueError, match=re.escape("no entry at (e,)")):
-        Cochain(G, 1, {(x,): 1 for x in c4.elements()})
-    values = {key: 1 for key in G.tuples(2)}
-    del values[(G.sigma, G.tau)]
-    values[(c4.generator(), c4.generator())] = 1
+        Cochain.from_json(data)
+    data = Cochain.constant(G, 2, 1).to_json()
+    data["values"] = [entry for entry in data["values"] if entry["args"] != [[1, 0], [0, 1]]]
     with pytest.raises(ValueError, match=re.escape("no entry at (sigma, tau)")):
-        Cochain(G, 2, values)
+        Cochain.from_json(data)
 
 
 @pytest.mark.parametrize("text, rest", [
@@ -524,8 +548,8 @@ def object_first_failure(laws, group, tables):
 
 
 def tampers(cochain, factor):
-    """Each single-cell change of a cochain by ``factor``, as dense tables."""
-    dense = cochain.dense()
+    """Each single-cell change of a cochain by ``factor``, as value lists."""
+    dense = list(cochain.values)
     for k in range(len(dense)):
         yield dense[:k] + [dense[k] * factor] + dense[k + 1:]
 
@@ -546,7 +570,7 @@ def test_first_failure_on_tampered_census_r_matrices(G):
     i = root_of_unity(4, 1)
     for _, ac in enumerate_klein_braidings(4):
         for dense in tampers(ac.R, i):
-            tables = {"phi": ac.phi.dense(), "R": dense}
+            tables = {"phi": ac.phi.values, "R": dense}
             assert _root_exponents(tables) is not None
             expected = object_first_failure(HEXAGONS, G, tables)
             assert expected is not None
@@ -573,7 +597,7 @@ def test_first_failure_on_random_mu_tables(orders, roots, rng):
 
     for trial in range(4):
         g = Cochain.from_function(group, 2, lambda x, y: root())
-        dense = [minimal_conductor(v) for v in g.delta().dense()]
+        dense = [minimal_conductor(v) for v in g.delta().values]
         if trial:
             k = rng.randrange(len(dense))
             change = root()
@@ -591,7 +615,7 @@ def test_first_failure_on_random_mu_tables(orders, roots, rng):
 
 def test_first_failure_falls_back_on_non_roots(G):
     i = root_of_unity(4, 1)
-    base = phi_X({"sigma"}).dense()
+    base = phi_X({"sigma"}).values
     for k in (0, 9, 30, 63):
         for j in (5, 40):
             dense = list(base)
@@ -602,15 +626,15 @@ def test_first_failure_falls_back_on_non_roots(G):
             expected = object_first_failure([COCYCLE_LAW], G, tables)
             assert first_failure([COCYCLE_LAW], G, tables) == expected
     # a non-root value that the laws do not read still selects the object path
-    tables = {"f": phi_X(set()).dense(), "unused": [CycScalar.rational(3)]}
+    tables = {"f": phi_X(set()).values, "unused": [CycScalar.rational(3)]}
     assert _root_exponents(tables) is None
     assert first_failure([COCYCLE_LAW], G, tables) is None
 
 
 def test_normalize3_reports_the_first_failure(G):
-    broken = phi_X(set()).dense()
+    broken = list(phi_X(set()).values)
     broken[21] = broken[21] * root_of_unity(4, 1)
-    phi = Cochain.from_dense(G, 3, broken)
+    phi = Cochain(G, 3, broken)
     with pytest.raises(NotACocycle) as failure:
         normalize3(phi)
     assert failure.value.point == cocycle3_failure(phi)

@@ -114,3 +114,17 @@ def test_equal_groups_give_one_dict_key():
         assert table[keys[1]] == table[keys[2]] == exponents
     assert {first.sigma * second.tau: 1} == {named.rho: 1}
     assert len({first.sigma, second.sigma, named.sigma, named.element((3, 2))}) == 1
+
+
+@pytest.mark.parametrize("orders", [(1,), (3,), (2, 2), (2, 4), (3, 3)], ids=str)
+def test_position_and_tuple_at_invert_tuples_order(orders):
+    group = FiniteAbelianGroup(orders)
+    for n in range(4):
+        for flat, point in enumerate(group.tuples(n)):
+            assert group.position(point) == flat
+            assert group.tuple_at(flat, n) == point
+
+
+def test_position_refuses_elements_of_another_group(G):
+    with pytest.raises(ValueError, match="not an element of C2xC2"):
+        G.position((G.sigma, cyclic(4).generator()))

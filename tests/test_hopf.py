@@ -176,7 +176,7 @@ def test_fourier_inverts_the_dual_transport(n):
     zeta = root_of_unity(n, 1)
     for l in range(n):
         transported = reassociator_transport_cyclic(n, l, zeta)
-        assert fourier_coefficients(transported) == cyclic_phi_q(n, zeta**l).dense()
+        assert fourier_coefficients(transported) == list(cyclic_phi_q(n, zeta**l).values)
 
 
 def test_transport_requires_primitive_root():
@@ -235,9 +235,9 @@ def test_harrison_matches_cocycle_law_on_transports(G):
     # scalar 3-cocycle law of the table it came from
     units = dual_idempotents(G, SIGNS)
 
-    def push(table):
+    def push(values):
         total = GroupAlgebraTensor(G, 3, {})
-        for (x, y, z), value in table.items():
+        for (x, y, z), value in zip(G.tuples(3), values):
             total = total + units[x].tensor(units[y]).tensor(units[z]).scale(value)
         return total
 
@@ -247,18 +247,18 @@ def test_harrison_matches_cocycle_law_on_transports(G):
     corpus += [h_a(I), g_b(-1), h_a(-1) * g_b(I)]
     for table in corpus:
         assert is_harrison_3cocycle(push(table.values)) == is_cocycle3(table)
-    broken = dict(phi_X(frozenset()).values)
-    broken[(G.sigma, G.tau, G.sigma)] = I
+    broken = list(phi_X(frozenset()).values)
+    broken[G.position((G.sigma, G.tau, G.sigma))] = I
     assert not is_harrison_3cocycle(push(broken))
 
 
 def bad_klein_tensor(G):
     """The trivial table with one cell set to 3, pushed through the dual basis."""
-    table = dict(phi_X(frozenset()).values)
-    table[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
+    table = list(phi_X(frozenset()).values)
+    table[G.position((G.sigma, G.tau, G.rho))] = CycScalar.rational(3)
     units = dual_idempotents(G, SIGNS)
     bad = GroupAlgebraTensor(G, 3, {})
-    for (x, y, z), value in table.items():
+    for (x, y, z), value in zip(G.tuples(3), table):
         bad = bad + units[x].tensor(units[y]).tensor(units[z]).scale(value)
     return bad
 
@@ -333,8 +333,8 @@ def test_pentagon_on_cohomology_generators(orders, m):
     assert generators
     for phi in generators:
         assert is_harrison_3cocycle(_push_through_dual(phi, zeta_roots(group)))
-    cell = list(group.tuples(3))[nondegenerate(group, 3)[0]]
-    tampered = dict(generators[-1].values)
+    cell = nondegenerate(group, 3)[0]
+    tampered = list(generators[-1].values)
     tampered[cell] = tampered[cell] * root_of_unity(m, 1)
     phi = Cochain(group, 3, tampered)
     assert not is_harrison_3cocycle(_push_through_dual(phi, zeta_roots(group)))
@@ -350,8 +350,8 @@ def test_klein_reassociators(G):
     assert klein_reassociator(h_a(-1) * g_b(-1) * phi_X({"sigma", "tau"})) == cube(G.rho)
     assert klein_reassociator(phi_X(frozenset())) == unit(G, 3)
     with pytest.raises(ValueError):
-        bad = dict(phi_X(frozenset()).values)
-        bad[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
+        bad = list(phi_X(frozenset()).values)
+        bad[G.position((G.sigma, G.tau, G.rho))] = CycScalar.rational(3)
         klein_reassociator(Cochain(G, 3, bad))
 
 
@@ -390,7 +390,7 @@ def test_diagonal_twist_structure(G):
                (G.tau, G.tau): a * quarter,
                (G.rho, G.rho): a * quarter}
     )
-    assert all(v.is_one() for v in built.ambient.R.values.values())
+    assert built.ambient.R.is_trivial()
     assert built.ambient.phi == h_a(a)
     assert check_weak_hopf(built).passed
 
@@ -403,8 +403,8 @@ def test_mixed_twist_structure(G):
     assert elem == G.rho and coeff == I.inv()
     coeff, elem = built.multiplication[(G.rho, G.sigma)]
     assert elem == G.tau and coeff.is_one()
-    R = built.ambient.R.values
-    assert R[(G.sigma, G.tau)] == I and R[(G.tau, G.sigma)] == I.inv()
+    R = built.ambient.R
+    assert R(G.sigma, G.tau) == I and R(G.tau, G.sigma) == I.inv()
     assert built.ambient.phi == g_b(-1)
     assert is_abelian_cocycle(built.ambient.phi, built.ambient.R)
     assert check_weak_hopf(built).passed
@@ -416,7 +416,7 @@ def test_ambient_braiding_sees_only_antisymmetric_part(G, rng):
     twist = klein_2cochain(b1=I, b4=-1, b2=3)
     symmetric = klein_2cochain(a1=5, a2=7, b1=2, b4=2, b3=I, b5=I)
     assert all(
-        symmetric.values[(x, y)] == symmetric.values[(y, x)] for x, y in G.tuples(2)
+        symmetric(x, y) == symmetric(y, x) for x, y in G.tuples(2)
     )
     first = weak_hopf_build(G, twist)
     second = weak_hopf_build(G, twist * symmetric)
@@ -444,17 +444,17 @@ def tensor_coalgebra_axioms(w) -> dict:
     """The three coalgebra axioms of a twisted structure, evaluated term by
     term in k[G]^(xk): the reference for check_weak_hopf's coproduct laws."""
     group = w.group
-    phi, R, D = w.ambient.phi.values, w.ambient.R.values, w.comultiplication
+    phi, R, D = w.ambient.phi, w.ambient.R, w.comultiplication
 
     def braided_flip(t):
-        return GroupAlgebraTensor(group, 2, {(v, u): c * R[(u, v)] for (u, v), c in t.terms.items()})
+        return GroupAlgebraTensor(group, 2, {(v, u): c * R(u, v) for (u, v), c in t.terms.items()})
 
     def counit_on(t, leg):
         return _collect(group, 1, (((key[1 - leg],), c * w.counit[key[leg]]) for key, c in t.terms.items()))
 
     def coassociative(x):
         first = _collect(group, 3, (
-            ((a, b, v), c * coeff * phi[(a, b, v)])
+            ((a, b, v), c * coeff * phi(a, b, v))
             for (u, v), coeff in D[x].terms.items() for (a, b), c in D[u].terms.items()
         ))
         second = _collect(group, 3, (

@@ -47,21 +47,21 @@ def random_mu4_normalized(rng):
 def test_phi_X_values(G):
     assert phi_X(frozenset()).is_trivial()
     table = phi_X({"sigma", "rho"})
-    assert table.values[(G.sigma,) * 3] == -1
-    assert table.values[(G.sigma, G.tau, G.rho)] == 1
-    assert phi_X({"sigma"}).values[(G.sigma, G.tau, G.rho)] == -1
+    assert table(G.sigma, G.sigma, G.sigma) == -1
+    assert table(G.sigma, G.tau, G.rho) == 1
+    assert phi_X({"sigma"})(G.sigma, G.tau, G.rho) == -1
     assert phi_X([G.sigma]) == phi_X({"sigma"})
 
 
 def test_h_and_g_values(G):
     b = root_of_unity(4, 1)
     table = g_b(b)
-    assert table.values[(G.sigma, G.tau, G.sigma)] == b
-    assert table.values[(G.tau, G.sigma, G.tau)] == b.inv()
+    assert table(G.sigma, G.tau, G.sigma) == b
+    assert table(G.tau, G.sigma, G.tau) == b.inv()
     a = CycScalar.rational(5)
     table = h_a(a)
-    assert table.values[(G.tau, G.sigma, G.sigma)] == a
-    assert table.values[(G.sigma, G.sigma, G.tau)] == a.inv()
+    assert table(G.tau, G.sigma, G.sigma) == a
+    assert table(G.sigma, G.sigma, G.tau) == a.inv()
     assert h_a(1) == g_b(1) == phi_X(frozenset())
 
 
@@ -114,14 +114,14 @@ def test_happy_triple_products_agree(rng):
         )
         table = reconstruct(params)
         p = (
-            table.values[(G.sigma, G.tau, G.rho)]
-            * table.values[(G.tau, G.rho, G.sigma)]
-            * table.values[(G.rho, G.sigma, G.tau)]
+            table(G.sigma, G.tau, G.rho)
+            * table(G.tau, G.rho, G.sigma)
+            * table(G.rho, G.sigma, G.tau)
         )
         q = (
-            table.values[(G.rho, G.tau, G.sigma)]
-            * table.values[(G.sigma, G.rho, G.tau)]
-            * table.values[(G.tau, G.sigma, G.rho)]
+            table(G.rho, G.tau, G.sigma)
+            * table(G.sigma, G.rho, G.tau)
+            * table(G.tau, G.sigma, G.rho)
         )
         assert p == q == CycScalar.rational(params.p)
 
@@ -149,10 +149,10 @@ def test_reconstruct_roundtrip_and_cocycle(rng):
 def test_reconstruct_specific_cells(G):
     b = root_of_unity(4, 1)
     table = reconstruct(HappyParams(1, 1, 1, CycScalar.one(), b))
-    assert table.values[(G.rho, G.sigma, G.rho)] == b
+    assert table(G.rho, G.sigma, G.rho) == b
     a = CycScalar.rational(3)
     table = reconstruct(HappyParams(1, 1, 1, a, CycScalar.one()))
-    assert table.values[(G.rho, G.rho, G.sigma)] == a.inv()
+    assert table(G.rho, G.rho, G.sigma) == a.inv()
     assert reconstruct(HappyParams(-1, -1, 1, CycScalar.one(), CycScalar.one())) == phi_X(
         {"sigma", "tau"}
     )
@@ -170,21 +170,20 @@ def test_happy_factorization():
                 assert reconstruct(params) == phi_X(subset) * h_a(a) * g_b(b)
 
 
-def _klein_relations(table, G):
-    """The nine derived relations every normalized cocycle satisfies."""
-    v = table.values
+def _klein_relations(v, G):
+    """The nine derived relations every normalized cocycle v satisfies."""
     s, t, r = G.sigma, G.tau, G.rho
-    es, et, er = v[(s, s, s)], v[(t, t, t)], v[(r, r, r)]
+    es, et, er = v(s, s, s), v(t, t, t), v(r, r, r)
     checks = [
-        v[(r, t, t)] == et * v[(s, t, t)],
-        v[(t, t, r)] == et * v[(t, t, s)],
-        v[(t, r, t)] * v[(t, s, t)] == et,
-        (v[(s, t, t)] * v[(s, s, t)] * v[(s, r, t)]).is_one(),
-        v[(t, s, t)] * v[(s, t, s)] * v[(s, r, t)] == v[(r, s, t)] * v[(s, t, r)],
-        v[(s, t, t)] * v[(t, t, s)] == v[(r, t, s)] * v[(s, t, r)],
-        es * v[(t, r, s)] * v[(s, t, r)] == v[(r, r, s)] * v[(s, t, t)],
-        v[(t, r, t)] * v[(s, s, t)] * v[(s, t, r)] == v[(r, r, t)] * v[(s, t, s)],
-        v[(t, r, r)] * v[(s, s, r)] * v[(s, t, r)] == er,
+        v(r, t, t) == et * v(s, t, t),
+        v(t, t, r) == et * v(t, t, s),
+        v(t, r, t) * v(t, s, t) == et,
+        (v(s, t, t) * v(s, s, t) * v(s, r, t)).is_one(),
+        v(t, s, t) * v(s, t, s) * v(s, r, t) == v(r, s, t) * v(s, t, r),
+        v(s, t, t) * v(t, t, s) == v(r, t, s) * v(s, t, r),
+        es * v(t, r, s) * v(s, t, r) == v(r, r, s) * v(s, t, t),
+        v(t, r, t) * v(s, s, t) * v(s, t, r) == v(r, r, t) * v(s, t, s),
+        v(t, r, r) * v(s, s, r) * v(s, t, r) == er,
     ]
     return all(checks)
 
@@ -215,9 +214,9 @@ def _symmetric_in_arguments(table, G) -> bool:
     """Whether the table restricted to non-identity triples is a symmetric function."""
     names = (G.sigma, G.tau, G.rho)
     for args in product(names, repeat=3):
-        base = table.values[args]
+        base = table(*args)
         for perm in permutations(range(3)):
-            if table.values[(args[perm[0]], args[perm[1]], args[perm[2]])] != base:
+            if table(args[perm[0]], args[perm[1]], args[perm[2]]) != base:
                 return False
     return True
 
@@ -263,8 +262,8 @@ def test_classify_is_class_function(G, rng):
 
 
 def test_classify_rejects_non_cocycles(G):
-    broken = dict(phi_X(frozenset()).values)
-    broken[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
+    broken = list(phi_X(frozenset()).values)
+    broken[G.position((G.sigma, G.tau, G.rho))] = CycScalar.rational(3)
     with pytest.raises(ValueError):
         classify(Cochain(G, 3, broken))
 
@@ -273,11 +272,11 @@ def test_coboundary_witnesses(G):
     a = root_of_unity(4, 1)
     witness = coboundary_witness_h(a)
     assert delta2(witness) == h_a(a)
-    assert delta2(witness).values[(G.tau, G.sigma, G.sigma)] == a
+    assert delta2(witness)(G.tau, G.sigma, G.sigma) == a
     d = CycScalar.rational(3)
     witness = coboundary_witness_g(d)
     assert delta2(witness) == g_b(9)
-    assert delta2(witness).values[(G.sigma, G.tau, G.sigma)] == 9
+    assert delta2(witness)(G.sigma, G.tau, G.sigma) == 9
     assert delta2(coboundary_witness_g(1)).is_trivial()
     with pytest.raises(ValueError):
         coboundary_witness_h(CycScalar.zero())
@@ -309,14 +308,14 @@ def test_transport_dual_basis_description(G):
     support = {G.tau, G.rho}
     for x, y, z in G.tuples(3):
         expected = -1 if {x, y, z} <= support else 1
-        assert moved.values[(x, y, z)] == expected
+        assert moved(x, y, z) == expected
 
 
 def test_happify_requires_normalized_cocycle(G):
     with pytest.raises(ValueError):
         happify(Cochain.from_function(G, 3, lambda x, y, z: 2))
-    broken = dict(phi_X(frozenset()).values)
-    broken[(G.sigma, G.tau, G.rho)] = CycScalar.rational(3)
+    broken = list(phi_X(frozenset()).values)
+    broken[G.position((G.sigma, G.tau, G.rho))] = CycScalar.rational(3)
     with pytest.raises(ValueError):
         happify(Cochain(G, 3, broken))
 

@@ -287,6 +287,6 @@ def test_malformed_scalar_json_names_the_field(data):
 
 def test_twist_cochain_with_int_q_is_exact():
     # negative exponents of an int q used to go through float division
-    values = {v.as_rational() for v in cyclic_twist_cochain(3, 3).values.values()}
+    values = {v.as_rational() for v in cyclic_twist_cochain(3, 3).values}
     assert values == {1, Fraction(1, 3), Fraction(1, 9)}
     assert cyclic_twist_cochain(3, 3) == cyclic_twist_cochain(3, coerce(3))

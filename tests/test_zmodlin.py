@@ -79,6 +79,12 @@ def test_solve_mod_unsolvable():
     assert solve_mod([[0]], [1], 4) is None
 
 
+def test_solve_mod_over_z1_solves_everything():
+    # every entry is 0 mod 1, so every system holds at x = 0
+    assert solve_mod([[2, 3], [5, 7]], [1, 4], 1).tolist() == [0, 0]
+    assert solve_mod(np.zeros((0, 3), dtype=np.int64), [], 1).tolist() == [0, 0, 0]
+
+
 def test_quotient_invariant_factors_basic():
     eye = np.eye(2, dtype=int)
     factors, gens = quotient_invariant_factors(eye, [[2, 0]], 4)
