@@ -32,6 +32,7 @@ exact linear algebra over Z/m (see zmodlin).
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd, lcm
@@ -59,6 +60,12 @@ class Cochain:
     def __init__(self, group: FiniteAbelianGroup, degree: int, values):
         if degree < 0:
             raise ValueError("cochain degree must be nonnegative")
+        if isinstance(values, (Mapping, Set)):
+            # iterating a dict yields its keys, a set has no order
+            raise TypeError(
+                f"a cochain takes its values as a sequence in group.tuples({degree}) order, "
+                f"not a {type(values).__name__}"
+            )
         values = tuple(map(coerce, values))
         expected = group.size**degree
         if len(values) != expected:

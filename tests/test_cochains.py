@@ -452,6 +452,13 @@ def test_cochain_validation(G):
         Cochain(G, 2, values)
     with pytest.raises(TypeError, match="takes 3 elements"):
         Cochain.constant(G, 3)(G.e, G.e)  # (e, e) would read the entry at (e, e, e)
+    # a mapping or a set has no tuples order: its keys would be read as values
+    with pytest.raises(TypeError, match=re.escape("sequence in group.tuples(1) order, not a dict")):
+        Cochain(G, 1, {1: 1, 2: 1, 3: 1, 4: 1})
+    with pytest.raises(TypeError, match="not a dict"):
+        Cochain(G, 2, {key: 1 for key in G.tuples(2)})
+    with pytest.raises(TypeError, match="not a set"):
+        Cochain(G, 1, {1, 2, 3, 4})
 
 
 def test_cochain_names_the_first_missing_tuple(G):
