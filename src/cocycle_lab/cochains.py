@@ -7,22 +7,31 @@ law below runs on that tuple as it is, and phi(x, y, z) reads the entry at
 ``Law``: signed terms ``slot(word, ...)``, a word being a product of
 variables (an upper-case letter is the inverse of its variable, an empty
 word is e), whose product is 1 at every point of G^arity.  Declared here
-are ``CONSTANT_ON_E``, ``NORMALIZED3`` and ``coboundary_law(n)``; at n = 3
-the latter is the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t)
--f(x,y,zt) +f(x,y,z).  Laws run on element indices, through the group's
-Cayley table, and every use is one of three derivations:
+are ``CONSTANT_ON_E``, ``NORMALIZED3``, ``NORMALIZING_WITNESS``,
+``pointwise_law(n, ...)`` and ``coboundary_law(n)``; at n = 3 the latter is
+the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt) +f(x,y,z).
+Laws run on element indices, through the group's Cayley table (the flat
+``positions`` of each term are memoized per law and group orders), and
+every use is one of three derivations:
 
-  evaluate      -- the signed product at every point (``Cochain.delta``);
+  evaluate      -- the signed product at every point: ``Cochain.delta``,
+                   and ``*``, ``inv`` and ``/``, which evaluate the
+                   pointwise laws +f(x,..) +g(x,..), -f(x,..) and
+                   +f(x,..) -g(x,..);
   first_failure -- the first point, in ``group.tuples`` order, where a law
-                   does not hold (``cocycle3_failure``).  When every value
-                   of every table is a root of unity (observed from the
-                   input), each value is zeta_m^k with m = lcm(2, the
-                   conductors), and a law holds where its signed sum of
-                   exponents is 0 mod m; otherwise it holds where
-                   ``evaluate`` is 1.  Both report the same (law index, point);
+                   does not hold (``cocycle3_failure``);
   law_rows      -- the Z/m system in the exponents of one unknown slot
                    (``boundary_matrix``), or its restriction to strictly
                    normalized cochains (``cohomology``).
+
+The first two take one of two paths, chosen from the input.  When every
+value of every table is a root of unity, each value is zeta_m^k with
+m = lcm(2, the conductors), and the signed sum of exponents mod m at each
+point decides a law (it holds where the sum is 0) or gives the product
+zeta_m^k, stored at the conductor a ``CycScalar`` product would carry (the
+lcm of that point's factors' conductors), so both paths give the same
+values.  Otherwise the values are multiplied as ``CycScalar``s, each value
+a minus term reads inverted once.
 
 Cochains valued in the m-th roots of unity embed into (Z/m)^(G^n) by
 taking exponents, which turns coboundary membership and cohomology into
@@ -34,7 +43,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -42,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import MATRIX_CELL_BOUND, FiniteAbelianGroup, GroupElement, cyclic
-from .scalars import CycScalar, as_root_exponent, coerce, exact_int, root_of_unity
+from .scalars import CycScalar, as_root_exponent, coerce, exact_int, root_of_unity, root_table
 from .zmodlin import (
     howell_form,
     kernel_mod,
@@ -94,15 +103,22 @@ class Cochain:
         return self.values[self.group.position(args)]
 
     def __mul__(self, other: "Cochain") -> "Cochain":
-        if (self.group, self.degree) != (other.group, other.degree):
-            raise ValueError("cochains must share group and degree")
-        return Cochain(self.group, self.degree, map(mul, self.values, other.values))
+        return self._pointwise(other, 1)
 
     def inv(self) -> "Cochain":
-        return Cochain(self.group, self.degree, [v.inv() for v in self.values])
+        values = evaluate(pointwise_law(self.degree, -1), self.group, {"f": self.values})
+        return Cochain(self.group, self.degree, values)
 
     def __truediv__(self, other: "Cochain") -> "Cochain":
-        return self * other.inv()
+        return self._pointwise(other, -1)
+
+    def _pointwise(self, other: "Cochain", sign: int) -> "Cochain":
+        """self * other^sign, point by point."""
+        if (self.group, self.degree) != (other.group, other.degree):
+            raise ValueError("cochains must share group and degree")
+        tables = {"f": self.values, "g": other.values}
+        values = evaluate(pointwise_law(self.degree, 1, sign), self.group, tables)
+        return Cochain(self.group, self.degree, values)
 
     def __eq__(self, other) -> bool:
         return (
@@ -241,8 +257,17 @@ def law(text: str) -> Law:
     return Law(1 + max(max(p, ~p) for _, _, words in terms for word in words for p in word), terms)
 
 
-def positions(rule: Law, group: FiniteAbelianGroup) -> list[tuple[int, str, np.ndarray]]:
-    """(sign, slot, flat position of the argument at every point) per term."""
+def positions(rule: Law, group: FiniteAbelianGroup) -> tuple[tuple[int, str, np.ndarray], ...]:
+    """(sign, slot, flat position of the argument at every point) per term.
+
+    Memoized per (law, group orders); the arrays are read-only.
+    """
+    return _positions(rule, group.orders)
+
+
+@lru_cache(maxsize=128)
+def _positions(rule: Law, orders: tuple[int, ...]):
+    group = FiniteAbelianGroup(orders)
     size, k = group.size, rule.arity
     points = np.arange(group.tuple_count(k))
     table = group.cayley_table()
@@ -256,8 +281,9 @@ def positions(rule: Law, group: FiniteAbelianGroup) -> list[tuple[int, str, np.n
             for p in word:
                 value = table[value, variables[p] if p >= 0 else inverse[variables[~p]]]
             flat = flat * size + value
+        flat.setflags(write=False)
         out.append((sign, slot, flat))
-    return out
+    return tuple(out)
 
 
 def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
@@ -270,13 +296,9 @@ def first_failure(laws, group: FiniteAbelianGroup, tables: dict):
     """
     roots = _root_exponents(tables)
     if roots is None:
-        failing = [[not v.is_one() for v in evaluate(rule, group, tables)] for rule in laws]
+        failing = [[not v.is_one() for v in _products(rule, group, tables)] for rule in laws]
     else:
-        m, exponents = roots
-        failing = [
-            sum(sign * exponents[slot][flat] for sign, slot, flat in positions(rule, group)) % m != 0
-            for rule in laws
-        ]
+        failing = [_exponent_sums(rule, group, *roots) != 0 for rule in laws]
     failing = np.array(failing)
     columns = failing.any(axis=0)
     if not columns.any():
@@ -294,30 +316,54 @@ def _root_exponents(tables: dict):
     values = [v for table in tables.values() for v in table]
     if not all(isinstance(v, CycScalar) for v in values):
         return None
-    m = lcm(2, *(v.conductor for v in values))
+    conductors = {v.conductor for v in values}
+    m = lcm(2, *conductors)
+    roots = {c: root_table(m, c).exponent for c in conductors}
     exponents = {}
     for slot, table in tables.items():
-        column = [as_root_exponent(v, m) for v in table]
+        # as_root_exponent(v, m), with one table lookup per conductor
+        column = [roots[v.conductor].get(v.nums) if v.den == 1 else None for v in table]
         if None in column:
             return None
         exponents[slot] = np.array(column, dtype=np.int64)
     return m, exponents
 
 
+def _exponent_sums(rule: Law, group: FiniteAbelianGroup, m: int, exponents: dict) -> np.ndarray:
+    """The signed sum of the terms' exponents mod m at every point."""
+    return sum(sign * exponents[slot][flat] for sign, slot, flat in positions(rule, group)) % m
+
+
 def evaluate(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
     """The signed product of the terms at every point, as dense values.
 
-    Each entry of a slot with a minus sign is inverted once.
+    On roots of unity the product is zeta_m^k, k the signed sum of
+    exponents, at the lcm of the conductors of that point's factors;
+    otherwise the values are multiplied (see the module docstring).
     """
+    roots = _root_exponents(tables)
+    if roots is None:
+        return _products(rule, group, tables)
+    exponents = _exponent_sums(rule, group, *roots).tolist()
+    conductors = {slot: np.array([v.conductor for v in table]) for slot, table in tables.items()}
+    at = np.lcm.reduce([conductors[slot][flat] for _, slot, flat in positions(rule, group)]).tolist()
+    values = {c: root_table(roots[0], c).value for c in set(at)}
+    return [values[c][k] for c, k in zip(at, exponents)]
+
+
+def _products(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
+    """``evaluate`` by CycScalar products; each value that a minus term reads
+    is inverted once."""
     inverses = {}
     columns = []
     for sign, slot, flat in positions(rule, group):
-        table = tables[slot]
+        table, read = tables[slot], flat.tolist()
         if sign < 0:
-            if slot not in inverses:
-                inverses[slot] = [v.inv() for v in table]
-            table = inverses[slot]
-        columns.append([table[i] for i in flat.tolist()])
+            inverse = inverses.setdefault(slot, {})
+            for i in set(read).difference(inverse):
+                inverse[i] = table[i].inv()
+            table = inverse
+        columns.append([table[i] for i in read])
     return [reduce(mul, values) for values in zip(*columns)]
 
 
@@ -359,6 +405,14 @@ def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=N
     return matrix, rhs
 
 
+@lru_cache(maxsize=None)
+def pointwise_law(degree: int, *signs: int) -> Law:
+    """The terms sign * slot(x_1, ..., x_n), slots f then g: the
+    pointwise product, inverse and quotient of degree-n cochains."""
+    words = tuple((p,) for p in range(degree))
+    return Law(degree, tuple((sign, slot, words) for sign, slot in zip(signs, "fg")))
+
+
 def coboundary_law(n: int) -> Law:
     """delta f = 1 on G^(n+1), for f of degree n: face i has sign (-1)^i.
 
@@ -377,6 +431,7 @@ def coboundary_law(n: int) -> Law:
 
 
 COCYCLE_LAW = coboundary_law(3)
+NORMALIZING_WITNESS = law("-f(,,y) +f(x,,)")  # g(x, y) = f(e, e, y)^-1 f(x, e, e)
 CONSTANT_ON_E = (law("+f(,x) -f(,)"), law("+f(x,) -f(,)"))  # f(e, x) = f(x, e) = f(e, e)
 NORMALIZED3 = law("+f(x,,y)")  # f(x, e, y) = 1
 
@@ -441,10 +496,7 @@ def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
     bad = cocycle3_failure(phi)
     if bad is not None:
         raise NotACocycle(bad)
-    e = phi.group.identity()
-    witness = Cochain.from_function(
-        phi.group, 2, lambda x, y: phi(e, e, y).inv() * phi(x, e, e)
-    )
+    witness = Cochain(phi.group, 2, evaluate(NORMALIZING_WITNESS, phi.group, {"f": phi.values}))
     normalized = phi * delta2(witness)
     if not is_normalized3(normalized):
         raise RuntimeError("normalization witness failed to normalize the cocycle")

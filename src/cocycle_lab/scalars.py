@@ -13,8 +13,15 @@ coordinate vectors and one reduction of its powers x^(deg+k), k < deg - 1,
 through a table of their residues mod Phi_N, built once per conductor.
 Inverses go through the Galois norm: x times the product of its other
 conjugates zeta -> zeta^a is a rational, so every field operation is
-integer polynomial work.  ``as_root_exponent`` looks the coordinates up in
-a per-(m, conductor) table of the m-th roots of unity.
+integer polynomial work.
+
+A root of unity can also be named by its exponent.  ``root_table(m, c)``
+lists the m-th roots of unity that lie in Q(zeta_c), keyed both ways:
+canonical numerators at conductor c -> k, and k -> the canonical zeta_m^k
+at conductor c.  It is built lazily, once for each pair (m, c) that
+occurs, so ``as_root_exponent`` is one dict lookup, and a product of roots
+computed on exponents (``cochains.evaluate``) reads its value back at the
+conductor a ``CycScalar`` product would have carried.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import index
+from typing import NamedTuple
 
 
 # ----------------------------------------------------------------- #
@@ -359,10 +367,36 @@ def root_of_unity(conductor: int, k: int = 1) -> CycScalar:
     return CycScalar(conductor, [0] * k + [1])  # constructor reduces mod Phi_N
 
 
+class RootTable(NamedTuple):
+    """The m-th roots of unity that lie in Q(zeta_c), at conductor c."""
+
+    exponent: dict  # numerators at conductor c (den 1) -> k
+    value: dict  # k -> zeta_m^k in canonical form at conductor c
+
+
 @lru_cache(maxsize=None)
-def _roots(m: int, conductor: int) -> dict[tuple[int, ...], int]:
-    """zeta_m^k in Q(zeta_conductor), by its numerators (its den is 1) -> k."""
-    return {root_of_unity(m, k).lift(conductor).nums: k for k in range(m)}
+def root_table(m: int, conductor: int) -> RootTable:
+    """The zeta_m^k in Q(zeta_c), c = ``conductor``, keyed both ways.
+
+    The roots of unity in Q(zeta_c) are the zeta_2c^e, e even when c is
+    even; zeta_2c^e is zeta_m^k, k = e*m/2c, when 2c divides e*m.  Only
+    the pairs (m, c) that occur are built: a table costs O(c^2).
+
+    >>> table = root_table(4, 1)
+    >>> table.exponent, table.value[2]
+    ({(1,): 0, (-1,): 2}, CycScalar(-1))
+    """
+    exponent, value = {}, {}
+    for e in range(0, 2 * conductor, 1 if conductor % 2 else 2):
+        if e * m % (2 * conductor) == 0:
+            k = e * m // (2 * conductor) % m
+            if e % 2 == 0:
+                x = root_of_unity(conductor, e // 2)
+            else:  # zeta_2c^e = -zeta_2c^(e+c), and e + c is even
+                x = -root_of_unity(conductor, (e + conductor) // 2)
+            exponent[x.nums] = k
+            value[k] = x
+    return RootTable(exponent, value)
 
 
 def as_root_exponent(x: CycScalar, m: int) -> int | None:
@@ -373,8 +407,7 @@ def as_root_exponent(x: CycScalar, m: int) -> int | None:
     """
     if x.den != 1:
         return None
-    n = lcm(x.conductor, m)
-    return _roots(m, n).get(x.lift(n).nums)
+    return root_table(m, x.conductor).exponent.get(x.nums)
 
 
 def is_square_in_mu(x: CycScalar, m: int) -> bool:

@@ -23,6 +23,7 @@ from cocycle_lab.cochains import (
     cyclic_qabc_coboundary_witness,
     delta2,
     delta3,
+    evaluate,
     first_failure,
     is_coboundary_mu,
     is_cocycle3,
@@ -636,6 +637,82 @@ def test_first_failure_falls_back_on_non_roots(G):
     tables = {"f": phi_X(set()).values, "unused": [CycScalar.rational(3)]}
     assert _root_exponents(tables) is None
     assert first_failure([COCYCLE_LAW], G, tables) is None
+
+
+def object_evaluate(rule, group, tables):
+    """evaluate by CycScalar products, point by point in tuples order."""
+    index = {g: i for i, g in enumerate(group.elements())}
+    signed = {1: tables, -1: {slot: [v.inv() for v in table] for slot, table in tables.items()}}
+    out = []
+    for point in group.tuples(rule.arity):
+        factors = []
+        for sign, slot, words in rule.terms:
+            args = [element_product(word, point) for word in words]
+            factors.append(signed[sign][slot][reduce(lambda acc, g: acc * group.size + index[g], args, 0)])
+        out.append(reduce(mul, factors))
+    return out
+
+
+def representation(values):
+    """What to_json writes of each value: conductor, numerators, denominator."""
+    return [(v.conductor, v.nums, v.den) for v in values]
+
+
+MIXED_CONDUCTORS = (1, 2, 3, 4, 6, 8, 12)
+
+
+def mixed_root(rng):
+    """A root of unity at a conductor drawn from MIXED_CONDUCTORS; +-1 at 1."""
+    c = rng.choice(MIXED_CONDUCTORS)
+    if c == 1:
+        return CycScalar.rational(rng.choice((1, -1)))
+    return root_of_unity(c, rng.randrange(c))
+
+
+@pytest.mark.parametrize("orders", [(3,), (2, 2), (2, 4), (6,)], ids=str)
+def test_evaluate_matches_scalar_products_on_mixed_conductors(orders, rng):
+    group = FiniteAbelianGroup(orders)
+    conductors = set()
+    for degree in range(4):
+        for _ in range(2):
+            f = Cochain(group, degree, [mixed_root(rng) for _ in range(group.size**degree)])
+            g = Cochain(group, degree, [mixed_root(rng) for _ in range(group.size**degree)])
+            tables = {"f": f.values}
+            assert _root_exponents(tables) is not None  # the exponent path
+            rule = coboundary_law(degree)
+            expected = representation(object_evaluate(rule, group, tables))
+            assert representation(evaluate(rule, group, tables)) == expected
+            assert representation(f.delta().values) == expected
+            pairs = list(zip(f.values, g.values))
+            assert representation((f * g).values) == representation(a * b for a, b in pairs)
+            assert representation(f.inv().values) == representation(a.inv() for a in f.values)
+            assert representation((f / g).values) == representation(a * b.inv() for a, b in pairs)
+            conductors.update(v.conductor for v in f.values + g.values)
+    assert conductors == set(MIXED_CONDUCTORS)
+
+
+@pytest.mark.parametrize("non_root", [1 + root_of_unity(8, 1), root_of_unity(4, 1) / 2], ids=str)
+def test_evaluate_falls_back_on_a_non_root(G, rng, non_root):
+    rule = coboundary_law(2)
+    values = [mixed_root(rng) for _ in range(16)]
+    values[7] = non_root
+    tables = {"f": values}
+    assert _root_exponents(tables) is None  # the object path
+    assert representation(evaluate(rule, G, tables)) == representation(object_evaluate(rule, G, tables))
+    f = Cochain(G, 2, values)
+    assert representation(f.inv().values) == representation(a.inv() for a in values)
+    assert representation((f / f.inv()).values) == representation(a * a for a in values)
+
+
+def test_positions_are_cached_and_read_only():
+    rule = law("+f(xY,z) -g(X)")
+    first = positions(rule, FiniteAbelianGroup((2, 4)))
+    again = positions(rule, FiniteAbelianGroup([2, 4]))  # an equal group, built anew
+    assert all(a[2] is b[2] for a, b in zip(first, again))
+    for _, _, flat in first:
+        with pytest.raises(ValueError, match="read-only"):
+            flat[0] = 1
+    assert positions(rule, FiniteAbelianGroup((8,)))[0][2] is not first[0][2]
 
 
 def test_normalize3_reports_the_first_failure(G):

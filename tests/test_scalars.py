@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from cocycle_lab.scalars import (
     is_square_in_mu,
     rational_is_square_in_field,
     root_of_unity,
+    root_table,
     square_class,
 )
 
@@ -248,6 +249,21 @@ def test_as_root_exponent_matches_scan():
             for x in values:
                 scan = next((k for k in range(m) if root_of_unity(m, k) == x), None)
                 assert as_root_exponent(x, m) == scan
+
+
+def test_root_table_reads_back_roots_at_its_conductor():
+    for c in (1, 2, 3, 4, 6, 8, 12):
+        for m in (2, 4, 6, 8, 12, 24):
+            table = root_table(m, c)
+            # zeta_m^k has order m / gcd(m, k); Q(zeta_c) holds the roots of order dividing lcm(2, c)
+            inside = [k for k in range(m) if lcm(2, c) % (m // gcd(m, k)) == 0]
+            assert sorted(table.value) == inside
+            for k in inside:
+                x = table.value[k]
+                assert x.conductor == c and x.den == 1
+                assert x == root_of_unity(m, k)
+                assert table.exponent[x.nums] == k
+            assert len(table.exponent) == len(inside)
 
 
 def test_floats_are_refused():
