@@ -89,6 +89,14 @@ class Cochain:
         self.values = values
 
     @classmethod
+    def _derived(cls, group, degree, values: list) -> "Cochain":
+        """A cochain from ``evaluate`` on cochain values: a product of
+        nonzero CycScalars is one, so the validating constructor is skipped."""
+        self = object.__new__(cls)
+        self.group, self.degree, self.values = group, degree, tuple(values)
+        return self
+
+    @classmethod
     def from_function(cls, group, degree, fn) -> "Cochain":
         return cls(group, degree, [fn(*args) for args in group.tuples(degree)])
 
@@ -107,7 +115,7 @@ class Cochain:
 
     def inv(self) -> "Cochain":
         values = evaluate(pointwise_law(self.degree, -1), self.group, {"f": self.values})
-        return Cochain(self.group, self.degree, values)
+        return Cochain._derived(self.group, self.degree, values)
 
     def __truediv__(self, other: "Cochain") -> "Cochain":
         return self._pointwise(other, -1)
@@ -118,7 +126,7 @@ class Cochain:
             raise ValueError("cochains must share group and degree")
         tables = {"f": self.values, "g": other.values}
         values = evaluate(pointwise_law(self.degree, 1, sign), self.group, tables)
-        return Cochain(self.group, self.degree, values)
+        return Cochain._derived(self.group, self.degree, values)
 
     def __eq__(self, other) -> bool:
         return (
@@ -144,7 +152,7 @@ class Cochain:
     def delta(self) -> "Cochain":
         """The multiplicative coboundary, one degree up."""
         values = evaluate(coboundary_law(self.degree), self.group, {"f": self.values})
-        return Cochain(self.group, self.degree + 1, values)
+        return Cochain._derived(self.group, self.degree + 1, values)
 
     def __repr__(self) -> str:
         return f"Cochain({self.group!r}, degree={self.degree})"
@@ -313,10 +321,10 @@ def _root_exponents(tables: dict):
     A root of unity in Q(zeta_N) lies in mu_lcm(2, N), so m = lcm(2, the
     conductors) holds every value of every table.
     """
-    values = [v for table in tables.values() for v in table]
-    if not all(isinstance(v, CycScalar) for v in values):
+    try:
+        conductors = {v.conductor for table in tables.values() for v in table}
+    except AttributeError:  # a value that is not a CycScalar
         return None
-    conductors = {v.conductor for v in values}
     m = lcm(2, *conductors)
     roots = {c: root_table(m, c).exponent for c in conductors}
     exponents = {}
@@ -413,6 +421,7 @@ def pointwise_law(degree: int, *signs: int) -> Law:
     return Law(degree, tuple((sign, slot, words) for sign, slot in zip(signs, "fg")))
 
 
+@lru_cache(maxsize=None)
 def coboundary_law(n: int) -> Law:
     """delta f = 1 on G^(n+1), for f of degree n: face i has sign (-1)^i.
 
@@ -496,7 +505,7 @@ def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
     bad = cocycle3_failure(phi)
     if bad is not None:
         raise NotACocycle(bad)
-    witness = Cochain(phi.group, 2, evaluate(NORMALIZING_WITNESS, phi.group, {"f": phi.values}))
+    witness = Cochain._derived(phi.group, 2, evaluate(NORMALIZING_WITNESS, phi.group, {"f": phi.values}))
     normalized = phi * delta2(witness)
     if not is_normalized3(normalized):
         raise RuntimeError("normalization witness failed to normalize the cocycle")
