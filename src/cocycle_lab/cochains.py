@@ -376,30 +376,36 @@ def _products(rule: Law, group: FiniteAbelianGroup, tables: dict) -> list:
 
 
 def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=None,
-             normalized: bool = False):
-    """(A, b) over Z/m such that the law holds iff A @ v = b.
+             normalized: bool = False, points=None):
+    """(A, b) over Z/m such that the law holds at ``points`` iff A @ v = b.
 
     v is the exponent vector of slot ``unknown`` (values zeta_m^v); ``known``
     maps every other slot of the law to its exponent vector.  With
     ``normalized`` the system is the one on strictly normalized cochains:
-    rows and columns are the ``nondegenerate`` tuples, and the unknown is 0
-    (value 1) wherever an argument is e, so those entries drop out.  The
-    cell bound is checked on the shape allocated, before any allocation.
+    columns are the ``nondegenerate`` tuples, and the unknown is 0 (value 1)
+    wherever an argument is e, so those entries drop out.  ``points`` are the
+    flat positions, in ``group.tuples(arity)`` order, of the rows to build;
+    by default every point, or every nondegenerate one with ``normalized``.
+    The cell bound is checked on the shape allocated, before any allocation.
     """
     degree = next(len(words) for _, slot, words in rule.terms if slot == unknown)
     base = group.size - 1 if normalized else group.size
-    if base ** (rule.arity + degree) > MATRIX_CELL_BOUND:
-        raise ValueError(f"a {base}^{rule.arity} x {base}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
+    if points is None:
+        height, count = f"{base}^{rule.arity}", base**rule.arity
+    else:
+        height = count = len(points)
+    if count * base**degree > MATRIX_CELL_BOUND:
+        raise ValueError(f"a {height} x {base}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
     if normalized:
-        points = nondegenerate(group, rule.arity)
         columns = np.full(group.tuple_count(degree), -1)
         columns[nondegenerate(group, degree)] = np.arange(base**degree)
     else:
-        points = np.arange(group.tuple_count(rule.arity))
         columns = np.arange(group.tuple_count(degree))
-    rows = np.arange(points.size)
-    matrix = np.zeros((points.size, base**degree), dtype=np.int64)
-    rhs = np.zeros(points.size, dtype=np.int64)
+    if points is None:
+        points = nondegenerate(group, rule.arity) if normalized else np.arange(group.tuple_count(rule.arity))
+    rows = np.arange(count)
+    matrix = np.zeros((count, base**degree), dtype=np.int64)
+    rhs = np.zeros(count, dtype=np.int64)
     for sign, slot, flat in positions(rule, group):
         flat = flat[points]
         if slot == unknown:
@@ -579,6 +585,19 @@ def nondegenerate(group: FiniteAbelianGroup, n: int) -> np.ndarray:
     return np.flatnonzero(np.indices((group.size,) * n).reshape(n, -1).all(axis=0))
 
 
+def generator_rows(group: FiniteAbelianGroup, n: int) -> np.ndarray:
+    """Flat positions, in ``group.tuples(n + 1)`` order, of the points
+    (x, y_1, ..., y_n) where x is a canonical generator and no y_i is e.
+
+    The canonical generators are the unit exponent vectors, at ``elements()``
+    index n_1 ... n_(i-1) for the factor C_(n_i); factors of order 1 have
+    none, so the trivial group has no such point.
+    """
+    strides = np.cumprod((1,) + group.orders[:-1])
+    units = strides[np.array(group.orders) > 1]
+    return (units[:, None] * group.tuple_count(n) + nondegenerate(group, n)).ravel()
+
+
 def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
     """Matrix of the degree-n coboundary on exponent vectors over Z/m.
 
@@ -644,15 +663,31 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
 
     Normalized cochains (zero where an argument is e) form a subcomplex
     quasi-isomorphic to the full one, so Z^n = Z^n_norm + B^n: the kernel is
-    solved on nondegenerate tuples only, in the (|G|-1)^(n+1) x (|G|-1)^n
-    system that ``law_rows`` builds directly (the cell bound applies to that
-    shape), then put in Howell form with B^n.
+    solved on nondegenerate tuples only, then put in Howell form with B^n.
+
+    Its system is built only at the points (x, y_1, ..., y_n) where x is one
+    of the r canonical generators and no y_i is e (``generator_rows``):
+    r (|G|-1)^n rows instead of (|G|-1)^(n+1).  The other rows follow from
+    delta^2 = 0.  For g = delta f, delta g = 0 at (x, x', y_1, ..., y_n) reads
+
+        g(x x', y_1, ..., y_n) = g(x', y_1, ..., y_n) + (terms g(x, ...)),
+
+    so a g that vanishes wherever its first argument is x, and wherever it
+    is x', also vanishes wherever it is x x'.  Every element is a product of
+    generators, so g vanishes everywhere: the kernel is the same module, and
+    its canonical Howell basis the same rows.  The cell bound is checked
+    before any allocation on the (|G|-1)^n x (r+1) (|G|-1)^n array
+    [A^T | I] that ``kernel_mod`` eliminates, which is larger than A.
     """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    normalized = kernel_mod(law_rows(coboundary_law(n), group, "f", m, normalized=True)[0], m)
+    base, r = group.size - 1, sum(order > 1 for order in group.orders)
+    if (r + 1) * base ** (2 * n) > MATRIX_CELL_BOUND:
+        raise ValueError(f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I] exceeds {MATRIX_CELL_BOUND} cells")
+    system = law_rows(coboundary_law(n), group, "f", m, normalized=True, points=generator_rows(group, n))
+    normalized = kernel_mod(system[0], m)
     image = boundary_matrix(group, n - 1, m).T
     cocycles = np.zeros((normalized.shape[0], group.tuple_count(n)), dtype=np.int64)
     cocycles[:, nondegenerate(group, n)] = normalized

@@ -186,7 +186,7 @@ class FiniteAbelianGroup:
     def _named(self, exponents) -> GroupElement:
         if self.orders != (2, 2):
             raise ValueError("named elements e/sigma/tau/rho exist only on C2xC2")
-        return GroupElement(self, exponents)
+        return self.elements()[exponents[0] + 2 * exponents[1]]
 
     # Fixed coordinates: sigma=(1,0), tau=(0,1), rho=(1,1), so sigma*tau=rho.
     @property

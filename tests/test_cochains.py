@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from cocycle_lab import cochains
 from cocycle_lab.braidings import HEXAGONS, enumerate_klein_braidings
 from cocycle_lab.cochains import (
     COCYCLE_LAW,
@@ -25,6 +27,7 @@ from cocycle_lab.cochains import (
     delta3,
     evaluate,
     first_failure,
+    generator_rows,
     is_coboundary_mu,
     is_cocycle3,
     is_normalized2,
@@ -38,6 +41,7 @@ from cocycle_lab.cochains import (
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.klein import g_b, h_a, klein_2cochain, phi_X
 from cocycle_lab.scalars import CycScalar, root_of_unity
+from cocycle_lab.zmodlin import kernel_mod
 
 
 def scalars(*values):
@@ -351,6 +355,73 @@ def test_cohomology_cell_bound_refuses_before_allocating():
     assert peak < 2**20
 
 
+def _same_bytes(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# (orders, m) of the benchmark's H^3 ladder
+LADDER = [((2,), 2), ((3,), 3), ((4,), 4), ((5,), 5), ((6,), 6), ((7,), 7), ((8,), 8),
+          ((2, 2), 4), ((2, 4), 4), ((2, 2, 2), 2), ((3, 3), 3)]
+
+
+ORACLE_CASES = [
+    *((orders, m, n) for orders, m in LADDER for n in (1, 2, 3)),
+    *(((2,), 2, 4), ((3,), 3, 4), ((2, 2), 4, 4)),
+    *((orders, 6, n) for orders in ((1,), (1, 3), (3, 1, 2)) for n in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("orders, m, n", ORACLE_CASES,
+                         ids=[f"{FiniteAbelianGroup(o)!r}/mu{m}/n{n}" for o, m, n in ORACLE_CASES])
+def test_generator_rows_have_the_kernel_of_the_full_normalized_system(orders, m, n):
+    # delta^2 = 0 makes the rows at a non-generator first argument redundant;
+    # the full normalized system is the oracle, and Howell bases are canonical
+    group = FiniteAbelianGroup(orders)
+    rule = coboundary_law(n)
+    full = law_rows(rule, group, "f", m, normalized=True)[0]
+    points = generator_rows(group, n)
+    assert points.dtype == np.int64
+    assert points.shape == (sum(k > 1 for k in orders) * (group.size - 1) ** n,)
+    restricted = law_rows(rule, group, "f", m, normalized=True, points=points)[0]
+    slice_rows = np.searchsorted(nondegenerate(group, n + 1), points)
+    assert _same_bytes(restricted, full[slice_rows])
+    assert _same_bytes(kernel_mod(restricted, m), kernel_mod(full, m))
+
+
+def test_cohomology_of_the_trivial_group_is_zero():
+    # no generator, so the kernel system has no rows (and no columns)
+    for n in (1, 2, 3):
+        assert cohomology(FiniteAbelianGroup((1,)), n, 6).invariant_factors == []
+
+
+def test_cohomology_memory_peak_on_generator_rows():
+    # 2 * 8^3 rows of delta_3 instead of 8^4: 53.8 MB peak with all of them
+    tracemalloc.start()
+    try:
+        report = cohomology(FiniteAbelianGroup((3, 3)), 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.invariant_factors == [3, 3, 3, 3]
+    assert peak < 24 * 2**20
+
+
+def test_cohomology_cell_bound_is_checked_on_the_kernel_array(monkeypatch):
+    # on C2xC2 at degree 2, [A^T | I] is 3^2 x 3*3^2 = 243 cells, A 2*3^2 x 3^2
+    klein_group = klein()
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 243)
+    assert cohomology(klein_group, 2, 4).invariant_factors == [2, 2, 2]
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 242)
+    with pytest.raises(ValueError, match=re.escape("a 3^2 x 3*3^2 array [A^T | I] exceeds 242 cells")):
+        cohomology(klein_group, 2, 4)
+    points = generator_rows(klein_group, 2)
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 162)
+    assert law_rows(coboundary_law(2), klein_group, "f", 4, normalized=True, points=points)[0].shape == (18, 9)
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 161)
+    with pytest.raises(ValueError, match=re.escape("a 18 x 3^2 system exceeds 161 cells")):
+        law_rows(coboundary_law(2), klein_group, "f", 4, normalized=True, points=points)
+
+
 def test_boundary_matrix_cell_bound_refuses_before_allocating():
     tracemalloc.start()
     try:
@@ -401,6 +472,42 @@ def test_cohomology_pinned(orders, n, m, factors, kernel, image, tables):
         "image_size": image,
     }
     assert ["".join(f"{e:x}" for e in cochain_exponents(g, m)) for g in report.generators] == tables
+
+
+# H^3(G, mu_m) reports of the larger groups, with a sha1 of the generator
+# tables (one hex digit per tuple, as above, one generator per line), pinned
+# before the kernel system was cut down to its generator rows.
+PINNED_LARGE_COHOMOLOGY = [
+    ((8,), 8, [8], 2993155353253689176481146537402947624255349848014848,
+     374144419156711147060143317175368453031918731001856,
+     "7a02de752c6ec62f998eb48b77d0ac835b235d08"),
+    ((2, 4), 4, [2, 2, 2, 4], 83076749736557242056487941267521536,
+     2596148429267413814265248164610048, "080f6c090d301d6494a3149f1bc3a60232df2a74"),
+    ((2, 2, 2), 2, [2] * 10, 9223372036854775808, 9007199254740992,
+     "cfde35f14161a2597af6a0c66d68815f33e5a5d6"),
+    ((3, 3), 3, [3, 3, 3, 3], 608266787713357709119683992618861307,
+     7509466514979724803946715958257547, "ba1f921081707252f93c4a5baf9c9b265310c6a2"),
+    ((2, 6), 12, [2, 2, 2, 6],
+     679415921570271745729902134664104997403917009522873459027926565776962125208288010867528944848281536030374114247676367042528230604321107522617344,
+     14154498366047328036039627805502187445914937698393197063081803453686710941839333559740186351005865333966127380159924313386004804256689740054528,
+     "e991ed5b60f9ca7e96c350b8b1473c446e0536ed"),
+]
+
+
+@pytest.mark.parametrize("orders, m, factors, kernel, image, tables_sha1", PINNED_LARGE_COHOMOLOGY,
+                         ids=[f"{FiniteAbelianGroup(row[0])!r}/mu{row[1]}" for row in PINNED_LARGE_COHOMOLOGY])
+def test_large_cohomology_pinned(orders, m, factors, kernel, image, tables_sha1):
+    report = cohomology(FiniteAbelianGroup(orders), 3, m)
+    assert report.to_json() == {
+        "group": {"orders": list(orders)},
+        "degree": 3,
+        "modulus": m,
+        "invariant_factors": factors,
+        "kernel_size": kernel,
+        "image_size": image,
+    }
+    tables = "\n".join("".join(f"{e:x}" for e in cochain_exponents(g, m)) for g in report.generators)
+    assert hashlib.sha1(tables.encode()).hexdigest() == tables_sha1
 
 
 def test_cocycle_failure_reports_quadruple(G):

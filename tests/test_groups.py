@@ -14,6 +14,12 @@ def test_klein_named_elements(G):
     assert G.rho.exponents == (1, 1)
 
 
+def test_named_elements_are_the_cached_elements(G):
+    named = (G.e, G.sigma, G.tau, G.rho)
+    assert all(a is b for a, b in zip(named, G.elements(), strict=True))
+    assert G.sigma is G.sigma
+
+
 def test_named_elements_only_on_klein():
     with pytest.raises(ValueError):
         cyclic(4).sigma
