@@ -22,7 +22,7 @@ every use is one of three derivations:
                    does not hold (``cocycle3_failure``);
   law_rows      -- the Z/m system in the exponents of one unknown slot
                    (``boundary_matrix``), or its restriction to strictly
-                   normalized cochains (``cohomology``).
+                   normalized cochains and to chosen rows (``cohomology``).
 
 The first two take one of two paths, chosen from the input.  When every
 value of every table is a root of unity, each value is zeta_m^k with
@@ -676,8 +676,9 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
     is x', also vanishes wherever it is x x'.  Every element is a product of
     generators, so g vanishes everywhere: the kernel is the same module, and
     its canonical Howell basis the same rows.  The cell bound is checked
-    before any allocation on the (|G|-1)^n x (r+1) (|G|-1)^n array
-    [A^T | I] that ``kernel_mod`` eliminates, which is larger than A.
+    before any table is built: on the (|G|-1)^n x (r+1) (|G|-1)^n array
+    [A^T | I] that ``kernel_mod`` eliminates, which is larger than A, then
+    on the |G|^n x |G|^(n-1) matrix of delta_(n-1).
     """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
@@ -686,9 +687,9 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
     base, r = group.size - 1, sum(order > 1 for order in group.orders)
     if (r + 1) * base ** (2 * n) > MATRIX_CELL_BOUND:
         raise ValueError(f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I] exceeds {MATRIX_CELL_BOUND} cells")
+    image = boundary_matrix(group, n - 1, m).T  # its own cell bound, before the kernel's tables
     system = law_rows(coboundary_law(n), group, "f", m, normalized=True, points=generator_rows(group, n))
     normalized = kernel_mod(system[0], m)
-    image = boundary_matrix(group, n - 1, m).T
     cocycles = np.zeros((normalized.shape[0], group.tuple_count(n)), dtype=np.int64)
     cocycles[:, nondegenerate(group, n)] = normalized
     kernel = howell_form(np.vstack([cocycles, image]), m)

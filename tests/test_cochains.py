@@ -422,6 +422,19 @@ def test_cohomology_cell_bound_is_checked_on_the_kernel_array(monkeypatch):
         law_rows(coboundary_law(2), klein_group, "f", 4, normalized=True, points=points)
 
 
+def test_cohomology_image_bound_refuses_before_the_kernel_tables():
+    # on C2 the kernel system is tiny at any degree, but delta_(n-1) is
+    # 2^n x 2^(n-1); it was refused only after 170 MB of tables at n = 18
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("a 2^18 x 2^17 system exceeds")):
+            cohomology(cyclic(2), 18, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_boundary_matrix_cell_bound_refuses_before_allocating():
     tracemalloc.start()
     try:
