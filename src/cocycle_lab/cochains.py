@@ -678,15 +678,23 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
     its canonical Howell basis the same rows.  The cell bound is checked
     before any table is built: on the (|G|-1)^n x (r+1) (|G|-1)^n array
     [A^T | I] that ``kernel_mod`` eliminates, which is larger than A, then
-    on the |G|^n x |G|^(n-1) matrix of delta_(n-1).
+    on the |G|^n x |G|^(n-1) matrix of delta_(n-1).  At degree 1 the first
+    check also counts the |G| x |G| Cayley table and the three |G|^2 flat
+    positions of delta_1, which are larger than [A^T | I] there; from
+    degree 2 on they are smaller once |G| >= 6.
     """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     base, r = group.size - 1, sum(order > 1 for order in group.orders)
-    if (r + 1) * base ** (2 * n) > MATRIX_CELL_BOUND:
-        raise ValueError(f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I] exceeds {MATRIX_CELL_BOUND} cells")
+    cells, tables = (r + 1) * base ** (2 * n), ""
+    if n == 1:  # the Cayley table and delta_1's three positions outgrow [A^T | I]
+        cells, tables = cells + 4 * group.size**2, f" and 4 tables of {group.size}^2"
+    if cells > MATRIX_CELL_BOUND:
+        raise ValueError(
+            f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I]{tables} exceeds {MATRIX_CELL_BOUND} cells"
+        )
     image = boundary_matrix(group, n - 1, m).T  # its own cell bound, before the kernel's tables
     system = law_rows(coboundary_law(n), group, "f", m, normalized=True, points=generator_rows(group, n))
     normalized = kernel_mod(system[0], m)

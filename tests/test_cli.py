@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -166,6 +167,26 @@ def test_hopf_commands(capsys):
     assert json.loads(out)["total"] == 9
 
 
+# sha1s of stdout and stderr, and the exit code, of `hopf build --check`,
+# recorded while multiplicativity was still checked by tensor products
+PINNED_HOPF_BUILDS = {
+    "prop54i --a -1": ("25396be0a6c2a256e12c76bb2c460f69f15c0ba0", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    "prop54i --a 2": ("8350bb8dfb08f939e4ec05fbc733cf3d9c69d7c5", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    "prop54ii --d i": ("6e2f6532ae13b1412e505a433d8acd2455e3a1da", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    "prop54ii --d 2": ("a78a17f8b519aa60c5b9d9d62efd44beb1096810", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    "prop53 --n 3": ("9a93c64954ff88f5bc18037a06d239ca4110690f", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    "prop53 --n 5": ("d47ae9c2bea21783989bc320d601c8cb5110e5d6", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+}
+
+
+@pytest.mark.parametrize("family", PINNED_HOPF_BUILDS)
+def test_hopf_build_check_pinned(capsys, family):
+    code = main(["hopf", "build", "--family", *family.split(), "--check"])
+    captured = capsys.readouterr()
+    digests = tuple(hashlib.sha1(text.encode()).hexdigest() for text in (captured.out, captured.err))
+    assert (*digests, code) == PINNED_HOPF_BUILDS[family]
+
+
 def test_hopf_build_refuses_group(capsys):
     # each family fixes its group; --group used to be accepted and ignored
     with pytest.raises(SystemExit) as refused:
@@ -196,6 +217,8 @@ def test_unknown_group(capsys):
         ["generate", "--family", "g_b", "--b", "1/0"],
         # a 20^4 x 20^3 boundary matrix (~10 GB) is refused before it is built
         ["cohomology", "--group", "c20", "--modulus", "20"],
+        # [A^T | I] fits, but the |G|^2 tables of degree 1 would take ~1.9 GB
+        ["cohomology", "--group", "c5000", "--modulus", "2", "--degree", "1"],
         # m^2 exceeds int64 before any row is combined
         ["cohomology", "--group", "c2", "--modulus", "4294967311"],
         # a conductor below 1: a traceback, the full census, or a run before

@@ -422,6 +422,30 @@ def test_cohomology_cell_bound_is_checked_on_the_kernel_array(monkeypatch):
         law_rows(coboundary_law(2), klein_group, "f", 4, normalized=True, points=points)
 
 
+def test_cohomology_degree_one_bound_counts_the_square_tables(monkeypatch):
+    # on C6 at degree 1, [A^T | I] is 5 x 2*5 = 50 cells; the Cayley table and
+    # the three positions of delta_1 add 4 * 6^2 = 144
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 194)
+    assert cohomology(cyclic(6), 1, 6).invariant_factors == [6]
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 193)
+    message = "a 5^1 x 2*5^1 array [A^T | I] and 4 tables of 6^2 exceeds 193 cells"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cohomology(cyclic(6), 1, 6)
+
+
+def test_cohomology_degree_one_refuses_before_the_square_tables():
+    # [A^T | I] of C5000 at degree 1 is within the bound, but its |G|^2 tables
+    # would take ~1.9 GB (tracemalloc peaks of 76 MB at C1000, 305 MB at C2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4 tables of 5000\\^2 exceeds"):
+            cohomology(cyclic(5000), 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_cohomology_image_bound_refuses_before_the_kernel_tables():
     # on C2 the kernel system is tiny at any degree, but delta_(n-1) is
     # 2^n x 2^(n-1); it was refused only after 170 MB of tables at n = 18

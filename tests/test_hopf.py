@@ -474,6 +474,39 @@ def tensor_coalgebra_axioms(w) -> dict:
     }
 
 
+def tensor_multiplicativity_failure(w):
+    """The first (x, y) where D(x) D(y) != (x*y) D(xy), the products taken term
+    by term in the braided square, or None: the reference for check_weak_hopf's
+    multiplicativity law."""
+    F, R, phi = w.twist, w.ambient.R, w.ambient.phi
+    phi_inv, D = phi.inv(), w.comultiplication
+
+    def braided_square_product(left, right):
+        """The algebra structure of the tensor square inside the ambient category.
+
+        The middle-four interchange (a x b)(c x d) -> (a*c) x (b*d) swaps b
+        past c with the braiding and re-brackets four factors, so besides
+        R(|b|, |c|) it carries the associator factors of that zig-zag:
+
+            phi(a,b,cd) phi(b,c,d)^-1 R(b,c) phi(c,b,d) phi(a,c,bd)^-1
+        """
+        return _collect(w.group, 2, (
+            (
+                (a * c, b * d),
+                c1 * c2 * phi(a, b, c * d) * phi_inv(b, c, d) * R(b, c)
+                * phi(c, b, d) * phi_inv(a, c, b * d) * F(a, c) * F(b, d),
+            )
+            for (a, b), c1 in left.terms.items()
+            for (c, d), c2 in right.terms.items()
+        ))
+
+    for x, y in w.group.tuples(2):
+        coeff, elem = w.multiplication[(x, y)]
+        if D[elem].scale(coeff) != braided_square_product(D[x], D[y]):
+            return (x, y)
+    return None
+
+
 def with_coproduct(w, x, terms):
     return replace(w, comultiplication={**w.comultiplication, x: GroupAlgebraTensor(w.group, 2, terms)})
 
@@ -487,10 +520,21 @@ TWISTED = {
 }
 
 
+def agreed_multiplicativity(w):
+    """check_weak_hopf's report, its multiplicativity verdict and failing (x, y)
+    asserted equal to the tensor oracle's."""
+    report = check_weak_hopf(w)
+    failure = tensor_multiplicativity_failure(w)
+    assert report.results["coproduct_is_multiplicative"] == (failure is None)
+    if failure is not None:
+        assert report.failures["coproduct_is_multiplicative"] == f"at {failure}"
+    return report
+
+
 @pytest.mark.parametrize("name", TWISTED)
 def test_coproduct_laws_agree_with_the_tensor_oracle(name):
     w = TWISTED[name]()
-    assert check_weak_hopf(w).passed
+    assert agreed_multiplicativity(w).passed
     assert all(tensor_coalgebra_axioms(w).values())
     cases = [
         with_coproduct(w, x, {**w.comultiplication[x].terms, key: coeff * factor})
@@ -501,11 +545,33 @@ def test_coproduct_laws_agree_with_the_tensor_oracle(name):
     for bad in cases:
         expected = tensor_coalgebra_axioms(bad)
         assert not all(expected.values())
-        report = check_weak_hopf(bad)
+        report = agreed_multiplicativity(bad)
         assert {axiom: report.results[axiom] for axiom in COPRODUCT_LAWS} == expected
     e, last = w.group.identity(), w.group.elements()[-1]
     assert check_weak_hopf(cases[0]).failures["counit_law"] == f"at ({e},)"  # c(e, e) = i
     assert check_weak_hopf(cases[-1]).failures["counit_law"] == f"counit at {last} is 1, expected 0"
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_product_cells_agree_with_the_multiplicativity_oracle(name):
+    # a product coefficient m(x, y) off by a factor, or a product element
+    # other than xy, fails multiplicativity first at that (x, y), and no
+    # axiom of the twist F or of the coproduct
+    w = TWISTED[name]()
+    cases = [
+        ((x, y), replace(w, multiplication={**w.multiplication, (x, y): (coeff * factor, elem)}))
+        for (x, y), (coeff, elem) in w.multiplication.items()
+        for factor in (I, 2, -1)
+    ]
+    x, y = w.group.elements()[1:3]
+    coeff, _ = w.multiplication[(x, y)]
+    cases.append(((x, y), replace(w, multiplication={**w.multiplication, (x, y): (coeff, x)})))
+    for pair, bad in cases:
+        report = agreed_multiplicativity(bad)
+        assert report.failures["coproduct_is_multiplicative"] == f"at {pair}"
+        assert [axiom for axiom, passed in report.results.items() if not passed] == [
+            "coproduct_is_multiplicative"
+        ]
 
 
 @pytest.mark.parametrize("name", TWISTED)
@@ -526,7 +592,8 @@ def test_a_coproduct_off_its_support_fails_every_coalgebra_axiom(name):
     for bad in cases:
         assert not all(tensor_coalgebra_axioms(bad).values())
         report = check_weak_hopf(bad)
-        for axiom in COPRODUCT_LAWS:  # so every axiom that the oracle fails
+        # every coalgebra axiom, and multiplicativity, fails with the support message
+        for axiom in (*COPRODUCT_LAWS, "coproduct_is_multiplicative"):
             assert not report.results[axiom]
             assert "does not have exactly the" in report.failures[axiom]
 
