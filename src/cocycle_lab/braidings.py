@@ -30,7 +30,7 @@ import numpy as np
 from . import klein_tables
 from .cochains import (
     Cochain,
-    boundary_matrix,
+    coboundary_law,
     cochain_exponents,
     cochain_from_exponents,
     delta2,
@@ -298,14 +298,16 @@ def abelian_cohomologous(ac1: AbelianCocycle, ac2: AbelianCocycle, m: int) -> Co
         raise ValueError("pairs must live on the same group")
     group = ac1.group
     quotient = ac1 * ac2.inv()
-    free = nondegenerate(group, 2)
-    rows = np.vstack([boundary_matrix(group, 2, m), law_rows(R_PSI, group, "psi", m)[0]])
+    rows = np.vstack([
+        law_rows(coboundary_law(2), group, "f", m, normalized=True)[0],
+        law_rows(R_PSI, group, "psi", m, normalized=True)[0],
+    ])
     rhs = np.concatenate([cochain_exponents(quotient.phi, m), cochain_exponents(quotient.R, m)])
-    solution = solve_mod(rows[:, free], rhs, m)
+    solution = solve_mod(rows, rhs, m)
     if solution is None:
         return None
     exponents = np.zeros(group.tuple_count(2), dtype=np.int64)
-    exponents[free] = solution
+    exponents[nondegenerate(group, 2)] = solution
     psi = cochain_from_exponents(group, 2, exponents, m)
     rebuilt = abelian_coboundary(psi)
     if rebuilt.phi != quotient.phi or rebuilt.R != quotient.R:
@@ -326,8 +328,8 @@ def count_hexagon_solutions_mu(phi: Cochain, m: int = 4) -> int:
     """
     group = phi.group
     known = {"phi": cochain_exponents(phi, m)}
-    blocks = [law_rows(hexagon, group, "R", m, known) for hexagon in HEXAGONS]
-    matrix = np.vstack([a for a, _ in blocks])[:, nondegenerate(group, 2)]
+    blocks = [law_rows(hexagon, group, "R", m, known, normalized=True) for hexagon in HEXAGONS]
+    matrix = np.vstack([a for a, _ in blocks])
     if solve_mod(matrix, np.concatenate([b for _, b in blocks]), m) is None:
         return 0
     return module_size(kernel_mod(matrix, m), m)

@@ -118,6 +118,10 @@ def cmd_classify(args) -> int:
     if table.group.orders != (2, 2) or table.degree != 3:
         print("input must be a degree-3 cochain on the [2,2] group", file=sys.stderr)
         return 1
+    field = args.conductor  # square classes are decided in Q(zeta_field)
+    if outside := [v.conductor for v in table.values if field % v.conductor]:
+        raise ValueError(f"--conductor {field}: a value of conductor {outside[0]} is not in Q(zeta_{field})")
+    table = Cochain(table.group, 3, [v.lift(field) for v in table.values])
     try:
         result = classify(table)  # checks the cocycle law once
     except NotACocycle as failure:

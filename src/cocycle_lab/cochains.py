@@ -10,9 +10,10 @@ word is e), whose product is 1 at every point of G^arity.  Declared here
 are ``CONSTANT_ON_E``, ``NORMALIZED3``, ``NORMALIZING_WITNESS``,
 ``pointwise_law(n, ...)`` and ``coboundary_law(n)``; at n = 3 the latter is
 the 3-cocycle law +f(y,z,t) -f(xy,z,t) +f(x,yz,t) -f(x,y,zt) +f(x,y,z).
-Laws run on element indices, through the group's Cayley table (the flat
-``positions`` of each term are memoized per law and group orders), and
-every use is one of three derivations:
+Laws run on element indices computed from exponents (the flat
+``positions`` of each term, memoized per law and group orders, and refused
+beyond the cell bound before they are built), and every use is one of
+three derivations:
 
   evaluate      -- the signed product at every point: ``Cochain.delta``,
                    and ``*``, ``inv`` and ``/``, which evaluate the
@@ -268,7 +269,10 @@ def law(text: str) -> Law:
 def positions(rule: Law, group: FiniteAbelianGroup) -> tuple[tuple[int, str, np.ndarray], ...]:
     """(sign, slot, flat position of the argument at every point) per term.
 
-    Memoized per (law, group orders); the arrays are read-only.
+    Element indices come from exponents, (a + b) mod n_i times the stride of
+    factor i.  The arrays, one per term and the word being added, take
+    (terms + 1) |G|^arity cells, refused beyond the cell bound before any is
+    built.  Memoized per (law, group orders); the arrays are read-only.
     """
     return _positions(rule, group.orders)
 
@@ -276,19 +280,27 @@ def positions(rule: Law, group: FiniteAbelianGroup) -> tuple[tuple[int, str, np.
 @lru_cache(maxsize=128)
 def _positions(rule: Law, orders: tuple[int, ...]):
     group = FiniteAbelianGroup(orders)
-    size, k = group.size, rule.arity
-    points = np.arange(group.tuple_count(k))
-    table = group.cayley_table()
-    variables = [(points // size ** (k - 1 - p)) % size for p in range(k)]
-    inverse = (table == 0).argmax(axis=1)  # x * x^-1 = e, index 0
+    size, k, r, terms = group.size, rule.arity, len(orders), len(rule.terms)
+    if (terms + 1) * group.tuple_count(k) > MATRIX_CELL_BOUND:
+        raise ValueError(
+            f"the positions of a {terms}-term law on {size}^{k} points exceed {MATRIX_CELL_BOUND} cells"
+        )
+    # an axis per exponent of each variable, last factor slowest: C order is tuples order
+    shape = orders[::-1] * k
+    axes = np.indices(shape, sparse=True)
+    exponents = [axes[p * r : (p + 1) * r][::-1] for p in range(k)]
+    strides = np.cumprod((1,) + orders[:-1]).tolist()
     out = []
     for sign, slot, words in rule.terms:
-        flat = np.zeros_like(points)
+        flat = np.zeros(shape, dtype=np.int64)
         for word in words:
-            value = np.zeros_like(points)  # index 0 is the identity
-            for p in word:
-                value = table[value, variables[p] if p >= 0 else inverse[variables[~p]]]
-            flat = flat * size + value
+            flat *= size
+            for i, (n, stride) in enumerate(zip(orders, strides)):
+                value = sum(exponents[p][i] if p >= 0 else -exponents[~p][i] for p in word)
+                value %= n
+                value *= stride
+                flat += value
+        flat = flat.reshape(-1)
         flat.setflags(write=False)
         out.append((sign, slot, flat))
     return tuple(out)
@@ -381,32 +393,33 @@ def law_rows(rule: Law, group: FiniteAbelianGroup, unknown: str, m: int, known=N
 
     v is the exponent vector of slot ``unknown`` (values zeta_m^v); ``known``
     maps every other slot of the law to its exponent vector.  With
-    ``normalized`` the system is the one on strictly normalized cochains:
-    columns are the ``nondegenerate`` tuples, and the unknown is 0 (value 1)
-    wherever an argument is e, so those entries drop out.  ``points`` are the
-    flat positions, in ``group.tuples(arity)`` order, of the rows to build;
-    by default every point, or every nondegenerate one with ``normalized``.
-    The cell bound is checked on the shape allocated, before any allocation.
+    ``normalized`` the columns are those of a strictly normalized cochain,
+    the ``nondegenerate`` tuples: the unknown is 0 (value 1) wherever an
+    argument is e, so those entries drop out.  ``points`` are the flat
+    positions, in ``group.tuples(arity)`` order, of the rows to build; by
+    default every point.  The cell bound is checked on the shape, then
+    ``positions`` checks its own, before the matrix is allocated.
     """
     degree = next(len(words) for _, slot, words in rule.terms if slot == unknown)
     base = group.size - 1 if normalized else group.size
     if points is None:
-        height, count = f"{base}^{rule.arity}", base**rule.arity
+        height, count = f"{group.size}^{rule.arity}", group.size**rule.arity
     else:
         height = count = len(points)
     if count * base**degree > MATRIX_CELL_BOUND:
         raise ValueError(f"a {height} x {base}^{degree} system exceeds {MATRIX_CELL_BOUND} cells")
+    terms = positions(rule, group)
     if normalized:
         columns = np.full(group.tuple_count(degree), -1)
         columns[nondegenerate(group, degree)] = np.arange(base**degree)
     else:
         columns = np.arange(group.tuple_count(degree))
-    if points is None:
-        points = nondegenerate(group, rule.arity) if normalized else np.arange(group.tuple_count(rule.arity))
     rows = np.arange(count)
+    if points is None:
+        points = rows
     matrix = np.zeros((count, base**degree), dtype=np.int64)
     rhs = np.zeros(count, dtype=np.int64)
-    for sign, slot, flat in positions(rule, group):
+    for sign, slot, flat in terms:
         flat = flat[points]
         if slot == unknown:
             column = columns[flat]
@@ -678,22 +691,17 @@ def cohomology(group: FiniteAbelianGroup, n: int, m: int) -> CohomologyReport:
     its canonical Howell basis the same rows.  The cell bound is checked
     before any table is built: on the (|G|-1)^n x (r+1) (|G|-1)^n array
     [A^T | I] that ``kernel_mod`` eliminates, which is larger than A, then
-    on the |G|^n x |G|^(n-1) matrix of delta_(n-1).  At degree 1 the first
-    check also counts the |G| x |G| Cayley table and the three |G|^2 flat
-    positions of delta_1, which are larger than [A^T | I] there; from
-    degree 2 on they are smaller once |G| >= 6.
+    on the |G|^n x |G|^(n-1) matrix of delta_(n-1); ``law_rows`` and
+    ``positions`` check their own tables as they build them.
     """
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     base, r = group.size - 1, sum(order > 1 for order in group.orders)
-    cells, tables = (r + 1) * base ** (2 * n), ""
-    if n == 1:  # the Cayley table and delta_1's three positions outgrow [A^T | I]
-        cells, tables = cells + 4 * group.size**2, f" and 4 tables of {group.size}^2"
-    if cells > MATRIX_CELL_BOUND:
+    if (r + 1) * base ** (2 * n) > MATRIX_CELL_BOUND:
         raise ValueError(
-            f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I]{tables} exceeds {MATRIX_CELL_BOUND} cells"
+            f"a {base}^{n} x {r + 1}*{base}^{n} array [A^T | I] exceeds {MATRIX_CELL_BOUND} cells"
         )
     image = boundary_matrix(group, n - 1, m).T  # its own cell bound, before the kernel's tables
     system = law_rows(coboundary_law(n), group, "f", m, normalized=True, points=generator_rows(group, n))

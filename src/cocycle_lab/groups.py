@@ -12,10 +12,8 @@ from itertools import product as _cartesian
 from math import gcd, prod
 from operator import index
 
-import numpy as np
-
 TUPLE_ENUMERATION_BOUND = 10**8
-MATRIX_CELL_BOUND = 5 * 10**7  # cells of a dense int64 Z/m system: 400 MB
+MATRIX_CELL_BOUND = 5 * 10**7  # int64 cells of a Z/m system or a law's positions: 400 MB
 
 _KLEIN_NAMES = {(0, 0): "e", (1, 0): "sigma", (0, 1): "tau", (1, 1): "rho"}
 
@@ -83,7 +81,7 @@ class GroupElement:
 class FiniteAbelianGroup:
     """Direct product C_{n_1} x ... x C_{n_k} of cyclic groups."""
 
-    __slots__ = ("orders", "_elements", "_cayley")
+    __slots__ = ("orders", "_elements")
 
     def __init__(self, orders):
         orders = tuple(index(n) for n in orders)  # int() would truncate a float
@@ -91,7 +89,6 @@ class FiniteAbelianGroup:
             raise ValueError("cyclic factor orders must be positive integers")
         self.orders = orders
         self._elements = None
-        self._cayley = None
 
     @property
     def size(self) -> int:
@@ -123,19 +120,6 @@ class FiniteAbelianGroup:
                 for exps in _cartesian(*(range(n) for n in reversed(self.orders)))
             )
         return self._elements
-
-    def cayley_table(self) -> np.ndarray:
-        """``table[i, j]`` is the index of ``elements()[i] * elements()[j]``."""
-        if self._cayley is None:
-            index = np.arange(self.size)
-            table = np.zeros((self.size, self.size), dtype=np.int64)
-            stride = 1
-            for n in self.orders:
-                coord = (index // stride) % n
-                table += (np.add.outer(coord, coord) % n) * stride
-                stride *= n
-            self._cayley = table
-        return self._cayley
 
     def tuple_count(self, n: int) -> int:
         """|G|^n, or ValueError beyond the enumeration bound."""

@@ -90,6 +90,32 @@ def test_classify_undecided_exit_code(tmp_path, capsys):
     assert json.loads(out)["b_class"] == "undecided"
 
 
+def test_classify_decides_square_classes_in_the_conductor_field(tmp_path, capsys):
+    # 2 = (zeta8 + zeta8^-1)^2 is a square in Q(zeta8) but not in Q(i)
+    target = tmp_path / "g2.json"
+    code, out = run(capsys, "generate", "--family", "g_b", "--b", "2")
+    target.write_text(out)
+    for conductor, verdict in (("4", "nontrivial"), ("8", "trivial")):
+        code, out = run(capsys, "classify", "--input", str(target), "--conductor", conductor)
+        assert code == 0 and json.loads(out)["b_class"] == verdict
+    # a conductor-1 table is decided in Q(i) by default: -1 = i^2
+    target.write_text(json.dumps(g_b(-1).to_json()))
+    code, out = run(capsys, "classify", "--input", str(target))
+    assert code == 0 and json.loads(out)["b_class"] == "trivial"
+
+
+def test_classify_refuses_values_outside_the_conductor_field(tmp_path, capsys):
+    target = tmp_path / "g8.json"
+    target.write_text(json.dumps(g_b(root_of_unity(8, 1)).to_json()))
+    assert main(["classify", "--input", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: --conductor 4: a value of conductor 8 is not in Q(zeta_4)"
+    ]
+    code, out = run(capsys, "classify", "--input", str(target), "--conductor", "8")
+    assert code == 0 and json.loads(out)["b_class"] == "nontrivial"
+
+
 def test_braidings_json(capsys):
     code, out = run(capsys, "braidings", "--format", "json")
     assert code == 0
@@ -217,7 +243,7 @@ def test_unknown_group(capsys):
         ["generate", "--family", "g_b", "--b", "1/0"],
         # a 20^4 x 20^3 boundary matrix (~10 GB) is refused before it is built
         ["cohomology", "--group", "c20", "--modulus", "20"],
-        # [A^T | I] fits, but the |G|^2 tables of degree 1 would take ~1.9 GB
+        # [A^T | I] fits, but the positions of delta_1 would take ~800 MB
         ["cohomology", "--group", "c5000", "--modulus", "2", "--degree", "1"],
         # m^2 exceeds int64 before any row is combined
         ["cohomology", "--group", "c2", "--modulus", "4294967311"],

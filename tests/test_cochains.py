@@ -327,7 +327,8 @@ def test_normalized_law_rows_are_the_nondegenerate_slice(orders):
     for n in (1, 2, 3):
         full = boundary_matrix(group, n, m)
         expected = full[np.ix_(nondegenerate(group, n + 1), nondegenerate(group, n))]
-        matrix, rhs = law_rows(coboundary_law(n), group, "f", m, normalized=True)
+        matrix, rhs = law_rows(coboundary_law(n), group, "f", m, normalized=True,
+                               points=nondegenerate(group, n + 1))
         assert matrix.shape == expected.shape and matrix.tobytes() == expected.tobytes()
         assert rhs.shape == (expected.shape[0],) and not rhs.any()
 
@@ -378,7 +379,7 @@ def test_generator_rows_have_the_kernel_of_the_full_normalized_system(orders, m,
     # the full normalized system is the oracle, and Howell bases are canonical
     group = FiniteAbelianGroup(orders)
     rule = coboundary_law(n)
-    full = law_rows(rule, group, "f", m, normalized=True)[0]
+    full = law_rows(rule, group, "f", m, normalized=True, points=nondegenerate(group, n + 1))[0]
     points = generator_rows(group, n)
     assert points.dtype == np.int64
     assert points.shape == (sum(k > 1 for k in orders) * (group.size - 1) ** n,)
@@ -407,8 +408,10 @@ def test_cohomology_memory_peak_on_generator_rows():
 
 
 def test_cohomology_cell_bound_is_checked_on_the_kernel_array(monkeypatch):
-    # on C2xC2 at degree 2, [A^T | I] is 3^2 x 3*3^2 = 243 cells, A 2*3^2 x 3^2
+    # on C2xC2 at degree 2, [A^T | I] is 3^2 x 3*3^2 = 243 cells, A 2*3^2 x 3^2;
+    # delta_2's positions take 5 * 4^3 = 320 cells, so they are memoized first
     klein_group = klein()
+    assert cohomology(klein_group, 2, 4).invariant_factors == [2, 2, 2]
     monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 243)
     assert cohomology(klein_group, 2, 4).invariant_factors == [2, 2, 2]
     monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 242)
@@ -423,27 +426,52 @@ def test_cohomology_cell_bound_is_checked_on_the_kernel_array(monkeypatch):
 
 
 def test_cohomology_degree_one_bound_counts_the_square_tables(monkeypatch):
-    # on C6 at degree 1, [A^T | I] is 5 x 2*5 = 50 cells; the Cayley table and
-    # the three positions of delta_1 add 4 * 6^2 = 144
-    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 194)
-    assert cohomology(cyclic(6), 1, 6).invariant_factors == [6]
-    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 193)
-    message = "a 5^1 x 2*5^1 array [A^T | I] and 4 tables of 6^2 exceeds 193 cells"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        cohomology(cyclic(6), 1, 6)
+    # the positions of delta_1 on C6, checked on a memo miss: three 6^2 arrays
+    # and the word being added, 4 * 6^2 = 144 cells
+    rule, group = coboundary_law(1), cyclic(6)
+    message = "the positions of a 3-term law on 6^2 points exceed 143 cells"
+    for bound, refused in ((144, False), (143, True)):
+        monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", bound)
+        cochains._positions.cache_clear()
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                positions(rule, group)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cohomology(group, 1, 6)
+        else:
+            assert len(positions(rule, group)) == 3
+            assert cohomology(group, 1, 6).invariant_factors == [6]
+    # a memoized entry allocates nothing, so it is not checked again
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 144)
+    cached = positions(rule, group)
+    monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 143)
+    assert positions(rule, group) is cached
 
 
 def test_cohomology_degree_one_refuses_before_the_square_tables():
-    # [A^T | I] of C5000 at degree 1 is within the bound, but its |G|^2 tables
-    # would take ~1.9 GB (tracemalloc peaks of 76 MB at C1000, 305 MB at C2000)
+    # [A^T | I] of C5000 at degree 1 is within the bound, but delta_1's
+    # positions would take 4 * 5000^2 cells (~800 MB)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="4 tables of 5000\\^2 exceeds"):
+        with pytest.raises(ValueError, match=re.escape("a 3-term law on 5000^2 points exceed")):
             cohomology(cyclic(5000), 1, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_cocycle_law_refuses_before_its_positions():
+    # 6 * 64^4 cells (~800 MB) of positions for the cocycle law on C64
+    phi = Cochain.constant(cyclic(64), 3, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("a 5-term law on 64^4 points exceed")):
+            cocycle3_failure(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_cohomology_image_bound_refuses_before_the_kernel_tables():
@@ -637,7 +665,7 @@ def element_product(word, point):
                   point[0].group.identity())
 
 
-@pytest.mark.parametrize("orders", [(3,), (4,), (2, 4)], ids=str)
+@pytest.mark.parametrize("orders", [(3,), (4,), (2, 4), (3, 1, 2)], ids=str)
 def test_positions_of_inverse_words(orders):
     group = FiniteAbelianGroup(orders)
     index = {g: i for i, g in enumerate(group.elements())}

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -15,10 +17,12 @@ from cocycle_lab.cochains import (
     is_normalized3,
     nondegenerate,
     normalize3,
+    positions,
 )
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein
 from cocycle_lab.hopf import (
     COPRODUCT_LAWS,
+    MULTIPLICATIVITY,
     GroupAlgebraTensor,
     _collect,
     _push_through_dual,
@@ -596,6 +600,18 @@ def test_a_coproduct_off_its_support_fails_every_coalgebra_axiom(name):
         for axiom in (*COPRODUCT_LAWS, "coproduct_is_multiplicative"):
             assert not report.results[axiom]
             assert "does not have exactly the" in report.failures[axiom]
+
+
+def test_multiplicativity_positions_refuse_before_allocating():
+    # the summand law's positions on C61 would take 10 * 61^4 cells (~1.1 GB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("a 9-term law on 61^4 points exceed")):
+            positions(MULTIPLICATIVITY[0], cyclic(61))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_comult_crosscheck_order_two():
