@@ -546,14 +546,13 @@ def cyclic_phi_q(n: int, q) -> Cochain:
     q = coerce(q)
     if not (q**n).is_one():
         raise ValueError("q must satisfy q^n = 1")
-    group = cyclic(n)
-
-    def value(x, y, z):
-        if y.exponents[0] + z.exponents[0] < n:
-            return CycScalar.one(q.conductor)
-        return q ** x.exponents[0]
-
-    return Cochain.from_function(group, 3, value)
+    powers = [CycScalar.one(q.conductor)]
+    for _ in range(1, n):
+        powers.append(powers[-1] * q)
+    return Cochain.from_function(
+        cyclic(n), 3,
+        lambda x, y, z: powers[x.exponents[0] if y.exponents[0] + z.exponents[0] >= n else 0],
+    )
 
 
 def cyclic_qabc(n: int, q) -> Cochain:

@@ -13,7 +13,7 @@ from math import gcd, prod
 from operator import index
 
 TUPLE_ENUMERATION_BOUND = 10**8
-MATRIX_CELL_BOUND = 5 * 10**7  # int64 cells of a Z/m system or a law's positions: 400 MB
+MATRIX_CELL_BOUND = 5 * 10**7  # cells of a Z/m system or a law's positions: 400 MB as int64
 
 _KLEIN_NAMES = {(0, 0): "e", (1, 0): "sigma", (0, 1): "tau", (1, 1): "rho"}
 

@@ -35,7 +35,7 @@ from math import lcm, prod
 
 from .braidings import AbelianCocycle, abelian_coboundary
 from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain
-from .cochains import evaluate, first_failure, is_normalized3, law, table_from_json
+from .cochains import evaluate, first_failure, is_normalized3, law, positions, table_from_json
 from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
 from .klein import coboundary_witness_g, coboundary_witness_h
 from .scalars import CycScalar, coerce, root_of_unity
@@ -410,6 +410,7 @@ def check_weak_hopf(w: WeakBraidedHopf) -> HopfAxiomReport:
     coefficients m(x, y); a product element other than xy fails it."""
     group = w.group
     size = group.size
+    positions(MULTIPLICATIVITY[0], group)  # refuse a group past the largest law's cell bound first
     results = {name: True for name in AXIOM_NAMES}
     failures = {name: "" for name in AXIOM_NAMES}
 

@@ -13,8 +13,17 @@ only the rows above a pivot, so they come out as in the full form.
 Solving reads the kernel of [rhs | A].  The quotient step
 diagonalizes a relation matrix with Smith-style integer row/column
 operations; entries may be reduced mod m at any time because the relation
-lattice always contains m*Z^r, so everything stays in [0, m) and int64, as
+lattice always contains m*Z^r.
+
+Entries are kept in [0, m) between steps, and every intermediate value of
+the elimination (r - q*p, (m/d)*p, a basis row minus a multiple of a pivot)
+is below m^2 in absolute value.  So its cells have the narrowest signed
+integer type that holds -m^2, chosen from m alone: int8 for m <= 11, int16
+up to 181, int32 up to 46340, int64 beyond.  Only the pivot combination
+s @ block, a sum of up to rows + columns products, is taken in int64, as
 the entry points check before allocating: m*m*(rows + columns) < 2^63.
+Every public result is int64.  Reductions are a -= (a // m) * m: numpy
+vectorizes integer floor division by a scalar, but not its remainder.
 """
 
 from __future__ import annotations
@@ -45,6 +54,19 @@ def _check_modulus(m: int, count: int) -> None:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     if int(m) ** 2 * count >= 2**63:
         raise ValueError(f"modulus {m} overflows int64 sums over {count} rows and columns")
+
+
+def _cell_type(m: int) -> np.dtype:
+    """The narrowest signed integer type that holds -m*m."""
+    return np.min_scalar_type(-m * m)
+
+
+def _reduce(a: np.ndarray, m: int) -> np.ndarray:
+    """``a`` mod m, in place."""
+    q = a // m
+    q *= m
+    a -= q
+    return a
 
 
 def _normalizing_unit(a: int, m: int) -> int:
@@ -98,18 +120,20 @@ def _eliminate(a: np.ndarray, m: int) -> list[tuple[int, np.ndarray]]:
         chunks = pending.pop(j, None)
         if chunks is None:
             continue
-        block = chunks[0] if len(chunks) == 1 else np.vstack(chunks)
+        block = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         s = _pivot_coefficients(block[:, 0].tolist(), m)
-        pivot = (np.array(s, dtype=np.int64) @ block[: len(s)]) % m
-        pivot = (_normalizing_unit(int(pivot[0]), m) * pivot) % m
+        # s = [1] takes the first row as it is; a longer s sums its products in int64
+        pivot = block[0] if len(s) == 1 else (
+            _reduce(np.array(s, dtype=np.int64) @ block[: len(s)], m).astype(block.dtype))
+        u = _normalizing_unit(int(pivot[0]), m)
+        pivot = _reduce(u * pivot, m) if u != 1 else pivot.copy()  # a view would keep block alive
         d = int(pivot[0])
         if len(block) > 1:  # a lone row's rest is a multiple of the annihilator
             rest = np.multiply.outer(block[:, 0] // d, pivot[1:])
             np.subtract(block[:, 1:], rest, out=rest)
-            rest %= m
-            _push(pending, rest, j + 1)
+            _push(pending, _reduce(rest, m), j + 1)
         if d != 1:
-            _push(pending, ((m // d) * pivot[None, 1:]) % m, j + 1)
+            _push(pending, _reduce((m // d) * pivot[None, 1:], m), j + 1)
         pivots.append((j, pivot))
     return pivots
 
@@ -117,13 +141,13 @@ def _eliminate(a: np.ndarray, m: int) -> list[tuple[int, np.ndarray]]:
 def _back_reduce(pivots: list[tuple[int, np.ndarray]], ncols: int, m: int) -> np.ndarray:
     """The (column, tail) pivot rows as a basis of width ``ncols``, with the
     entries above each pivot reduced below it; pivot k changes only rows above k."""
-    basis = np.zeros((len(pivots), ncols), dtype=np.int64)
+    basis = np.zeros((len(pivots), ncols), dtype=_cell_type(m))
     for k, (j, pivot) in enumerate(pivots):
         basis[k, j:] = pivot
         above = basis[:k, j] // pivot[0]
         rows = np.nonzero(above)[0]
-        basis[rows, j:] = (basis[rows, j:] - above[rows, None] * pivot) % m
-    return basis
+        basis[rows, j:] = _reduce(basis[rows, j:] - above[rows, None] * pivot, m)
+    return basis.astype(np.int64)
 
 
 def howell_form(matrix, m: int) -> np.ndarray:
@@ -138,7 +162,8 @@ def howell_form(matrix, m: int) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     # at most nrows + one annihilator per column are ever pending
     _check_modulus(m, sum(a.shape))
-    return _back_reduce(_eliminate(a % m, m), a.shape[1], m)
+    cells = np.remainder(a, m, out=np.empty(a.shape, dtype=_cell_type(m)))
+    return _back_reduce(_eliminate(cells, m), a.shape[1], m)
 
 
 def module_size(howell_rows: np.ndarray, m: int) -> int:
@@ -147,11 +172,11 @@ def module_size(howell_rows: np.ndarray, m: int) -> int:
 
 
 def _transpose_system(matrix, m: int) -> tuple[int, np.ndarray]:
-    """(rows of A, [A^T | I] mod m) for A = matrix, built as one array."""
+    """(rows of A, [A^T | I] mod m) for A = matrix, built as one array of cells."""
     a = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     nrows, ncols = a.shape
     _check_modulus(m, nrows + 2 * ncols)
-    system = np.zeros((ncols, nrows + ncols), dtype=np.int64)
+    system = np.zeros((ncols, nrows + ncols), dtype=_cell_type(m))
     np.remainder(a.T, m, out=system[:, :nrows])
     system[np.arange(ncols), nrows + np.arange(ncols)] = 1 % m
     return nrows, system
@@ -196,7 +221,7 @@ def _diagonalize_with_basis(relations: np.ndarray, r: int, m: int):
     new basis in the original coordinates (mod m, which is all the
     quotient can see).
     """
-    a = np.atleast_2d(np.asarray(relations, dtype=np.int64)) % m
+    a = _reduce(np.array(relations, dtype=np.int64, ndmin=2), m)
     basis = np.eye(r, dtype=np.int64)
     nrows, rank = a.shape[0], 0
     while rank < min(nrows, r):
@@ -214,12 +239,12 @@ def _diagonalize_with_basis(relations: np.ndarray, r: int, m: int):
         cleared = not a[rank + 1:, rank].any() and not (a[rank, rank + 1:] % p).any()
         if not cleared:
             # reduce column entries; remainders become new (smaller) pivots
-            a[rank + 1:] = (a[rank + 1:] - np.outer(a[rank + 1:, rank] // p, a[rank])) % m
+            a[rank + 1:] = _reduce(a[rank + 1:] - np.outer(a[rank + 1:, rank] // p, a[rank]), m)
         # reduce row entries mod p (clearing the row once the pivot is settled);
         # column ops update the tracked basis
         q = a[rank, rank + 1:] // p
-        a[:, rank + 1:] = (a[:, rank + 1:] - np.outer(a[:, rank], q)) % m
-        basis[rank] = (basis[rank] + q @ basis[rank + 1:]) % m
+        a[:, rank + 1:] = _reduce(a[:, rank + 1:] - np.outer(a[:, rank], q), m)
+        basis[rank] = _reduce(basis[rank] + q @ basis[rank + 1:], m)
         rank += cleared
     return [gcd(int(a[i, i]) if i < nrows else 0, m) for i in range(r)], basis
 

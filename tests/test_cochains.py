@@ -206,6 +206,20 @@ def test_cyclic_phi_q():
         cyclic_phi_q(3, root_of_unity(4, 1))
 
 
+def test_cyclic_phi_q_power_table_matches_the_per_entry_formula():
+    # the values come from a table of the n powers of q; each must be the
+    # scalar q^x itself, in the same field and coordinates
+    for n in range(1, 9):
+        for k in range(n):
+            q = root_of_unity(n, k)
+            G = cyclic(n)
+            expected = [CycScalar.one(q.conductor) if y.exponents[0] + z.exponents[0] < n
+                        else q ** x.exponents[0] for x, y, z in G.tuples(3)]
+            got = cyclic_phi_q(n, q).values
+            assert [(v.conductor, v.nums, v.den) for v in got] == \
+                [(v.conductor, v.nums, v.den) for v in expected]
+
+
 def test_cyclic_phi_q_multiplicative(rng):
     for n in (2, 3, 4, 6):
         a, b = rng.randrange(n), rng.randrange(n)

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from cocycle_lab import hopf
 from cocycle_lab.braidings import is_abelian_cocycle
 from cocycle_lab.cochains import (
     Cochain,
@@ -612,6 +613,19 @@ def test_multiplicativity_positions_refuse_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_check_weak_hopf_refuses_before_the_table_laws(monkeypatch):
+    # the multiplicativity bound refuses C61, so no other law may run first
+    C61 = cyclic(61)
+    built = weak_hopf_build(C61, Cochain.constant(C61, 2, 1))
+
+    def unreachable(*args):
+        raise AssertionError("a table law ran before the multiplicativity bound")
+
+    monkeypatch.setattr(hopf, "first_failure", unreachable)
+    with pytest.raises(ValueError, match=re.escape("a 9-term law on 61^4 points exceed")):
+        check_weak_hopf(built)
 
 
 def test_comult_crosscheck_order_two():

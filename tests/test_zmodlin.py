@@ -198,7 +198,8 @@ def _same_bytes(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 12, 27, 30, 36])
+# 11 | 12, 181 | 182 and 46340 | 46341 straddle the edges of the int8, int16 and int32 cells
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 11, 12, 27, 30, 36, 181, 182, 46340, 46341])
 def test_howell_form_matches_sequential_reference(m):
     for a in _random_matrices(m, seed=m):
         assert _same_bytes(howell_form(a, m), _reference_howell_form(a, m))
@@ -231,7 +232,7 @@ def _kernel_corpus(m, seed):
             yield a * (rng.random((rows, cols)) < density)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 30])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 11, 12, 30, 181, 182, 46340, 46341])
 def test_kernel_mod_matches_the_full_howell_extraction(m):
     # kernel_mod back-reduces only the pivots of the right block; the full
     # Howell form of [A^T | I] must give the same rows, byte for byte
