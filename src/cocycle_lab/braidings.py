@@ -30,9 +30,11 @@ import numpy as np
 from . import klein_tables
 from .cochains import (
     Cochain,
+    _cochain_of_powers,
     coboundary_law,
     cochain_exponents,
     cochain_from_exponents,
+    cyclic_phi_q,
     delta2,
     evaluate,
     first_failure,
@@ -142,7 +144,7 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, conductor: int) -> list
     ranges = [range(conductor // int(h[np.flatnonzero(h)[0]])) for h in kernel]
     coefficients = np.array(list(_cartesian(*ranges)), dtype=np.int64)  # (1, 0) for {0}
     exponents = sorted(map(tuple, (coefficients @ kernel % conductor).tolist()))
-    return [Cochain(group, 1, [root_of_unity(conductor, k) for k in vec]) for vec in exponents]
+    return [cochain_from_exponents(group, 1, vec, conductor) for vec in exponents]
 
 
 # ----------------------------------------------------------------- #
@@ -254,13 +256,8 @@ def cyclic_braiding(n: int, nu) -> AbelianCocycle:
     nu = coerce(nu)
     if not (nu ** (n * n)).is_one() or not (nu ** (2 * n)).is_one():
         raise ValueError("nu must satisfy nu^(n^2) = nu^(2n) = 1")
-    from .cochains import cyclic_phi_q
-
-    phi = cyclic_phi_q(n, nu**n)
-    r_matrix = Cochain.from_function(
-        cyclic(n), 2, lambda x, y: nu ** (x.exponents[0] * y.exponents[0])
-    )
-    return AbelianCocycle(phi, r_matrix)
+    x, y = np.indices((n, n))
+    return AbelianCocycle(cyclic_phi_q(n, nu**n), _cochain_of_powers(cyclic(n), 2, nu, x * y))
 
 
 def c2_abelian_cocycles(conductor: int = 4) -> list[AbelianCocycle]:

@@ -36,7 +36,8 @@ a minus term reads inverted once.
 
 Cochains valued in the m-th roots of unity embed into (Z/m)^(G^n) by
 taking exponents, which turns coboundary membership and cohomology into
-exact linear algebra over Z/m (see zmodlin).
+exact linear algebra over Z/m (see zmodlin).  Such cochains, and the cyclic
+families, are built as q^e from an integer table e, each q^e computed once.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ class Cochain:
 
     @classmethod
     def constant(cls, group, degree, value=1) -> "Cochain":
-        val = coerce(value)
-        return cls(group, degree, [val for _ in group.tuples(degree)])
+        return cls(group, degree, [coerce(value)] * group.tuple_count(degree))
 
     def __call__(self, *args: GroupElement) -> CycScalar:
         if len(args) != self.degree:
@@ -270,9 +270,10 @@ def positions(rule: Law, group: FiniteAbelianGroup) -> tuple[tuple[int, str, np.
     """(sign, slot, flat position of the argument at every point) per term.
 
     Element indices come from exponents, (a + b) mod n_i times the stride of
-    factor i.  The arrays, one per term and the word being added, take
-    (terms + 1) |G|^arity cells, refused beyond the cell bound before any is
-    built.  Memoized per (law, group orders); the arrays are read-only.
+    factor i.  The arrays, one per term and the word being added (summed in
+    place and freed before the next), take (terms + 1) |G|^arity cells, and
+    the exponent axes |G| more at arity 1; refused beyond the cell bound
+    before any is built.  Memoized per (law, group orders); read-only.
     """
     return _positions(rule, group.orders)
 
@@ -281,7 +282,7 @@ def positions(rule: Law, group: FiniteAbelianGroup) -> tuple[tuple[int, str, np.
 def _positions(rule: Law, orders: tuple[int, ...]):
     group = FiniteAbelianGroup(orders)
     size, k, r, terms = group.size, rule.arity, len(orders), len(rule.terms)
-    if (terms + 1) * group.tuple_count(k) > MATRIX_CELL_BOUND:
+    if (terms + 1 + (k == 1)) * group.tuple_count(k) > MATRIX_CELL_BOUND:
         raise ValueError(
             f"the positions of a {terms}-term law on {size}^{k} points exceed {MATRIX_CELL_BOUND} cells"
         )
@@ -296,10 +297,14 @@ def _positions(rule: Law, orders: tuple[int, ...]):
         for word in words:
             flat *= size
             for i, (n, stride) in enumerate(zip(orders, strides)):
-                value = sum(exponents[p][i] if p >= 0 else -exponents[~p][i] for p in word)
+                parts = [exponents[max(p, ~p)][i] for p in word]
+                value = np.zeros(np.broadcast_shapes(*(part.shape for part in parts)), dtype=np.int64)
+                for p, part in zip(word, parts):
+                    (np.add if p >= 0 else np.subtract)(value, part, out=value)
                 value %= n
                 value *= stride
                 flat += value
+                del value
         flat = flat.reshape(-1)
         flat.setflags(write=False)
         out.append((sign, slot, flat))
@@ -535,6 +540,15 @@ def normalize3(phi: Cochain) -> tuple[Cochain, Cochain]:
 # cocycle families on cyclic groups
 # ----------------------------------------------------------------- #
 
+def _cochain_of_powers(group: FiniteAbelianGroup, degree: int, q, exponents) -> Cochain:
+    """q^e for an integer table e in ``group.tuples(degree)`` order (on C_n, the C
+    order of ``np.indices((n,) * degree)``), each distinct q ** e computed once."""
+    q = coerce(q)
+    table = np.asarray(exponents).reshape(-1).tolist()
+    powers = {e: q**e for e in set(table)}
+    return Cochain(group, degree, [powers[e] for e in table])
+
+
 def cyclic_phi_q(n: int, q) -> Cochain:
     """The step cocycle on C_n: 1 when y+z < n, else q^x (q an n-th root).
 
@@ -546,13 +560,8 @@ def cyclic_phi_q(n: int, q) -> Cochain:
     q = coerce(q)
     if not (q**n).is_one():
         raise ValueError("q must satisfy q^n = 1")
-    powers = [CycScalar.one(q.conductor)]
-    for _ in range(1, n):
-        powers.append(powers[-1] * q)
-    return Cochain.from_function(
-        cyclic(n), 3,
-        lambda x, y, z: powers[x.exponents[0] if y.exponents[0] + z.exponents[0] >= n else 0],
-    )
+    x, y, z = np.indices((n,) * 3)
+    return _cochain_of_powers(cyclic(n), 3, q, np.where(y + z >= n, x, 0))
 
 
 def cyclic_qabc(n: int, q) -> Cochain:
@@ -560,10 +569,8 @@ def cyclic_qabc(n: int, q) -> Cochain:
     q = coerce(q)
     if not (q**n).is_one():
         raise ValueError("q must satisfy q^n = 1")
-    group = cyclic(n)
-    return Cochain.from_function(
-        group, 3, lambda x, y, z: q ** (x.exponents[0] * y.exponents[0] * z.exponents[0])
-    )
+    a, b, c = np.indices((n,) * 3)
+    return _cochain_of_powers(cyclic(n), 3, q, a * b * c % n)
 
 
 def cyclic_qabc_coboundary_witness(n: int, q) -> Cochain:
@@ -572,16 +579,16 @@ def cyclic_qabc_coboundary_witness(n: int, q) -> Cochain:
     if not (q**n).is_one():
         raise ValueError("q must satisfy q^n = 1")
     if not (q ** (n * (n - 1) // 2)).is_one():
-        raise ValueError("not a coboundary for this q")
+        raise ValueError("q must satisfy q^(n(n-1)/2) = 1")
     return cyclic_twist_cochain(n, q)
 
 
 def cyclic_twist_cochain(n: int, q) -> Cochain:
-    """The 2-cochain (c^a, c^b) -> q^(-(a-1)ab/2) on C_n."""
+    """The 2-cochain (c^a, c^b) -> q^(-(a-1)ab/2) on C_n, exponents mod n if q^n = 1."""
     q = coerce(q)
-    return Cochain.from_function(
-        cyclic(n), 2, lambda x, y: q ** (-(x.exponents[0] - 1) * x.exponents[0] * y.exponents[0] // 2)
-    )
+    a, b = np.indices((n, n))
+    exponents = -(a - 1) * a * b // 2
+    return _cochain_of_powers(cyclic(n), 2, q, exponents % n if (q**n).is_one() else exponents)
 
 
 # ----------------------------------------------------------------- #
@@ -621,17 +628,15 @@ def boundary_matrix(group: FiniteAbelianGroup, n: int, m: int) -> np.ndarray:
 
 def cochain_exponents(phi: Cochain, m: int) -> np.ndarray:
     """Exponent vector of a mu_m-valued cochain; error outside mu_m."""
-    exponents = []
-    for args, value in zip(phi.group.tuples(phi.degree), phi.values):
-        k = as_root_exponent(value, m)
-        if k is None:
-            raise ValueError(f"value at {args} is not in mu_{m}; undecidable in mu_{m} backend")
-        exponents.append(k)
+    exponents = [as_root_exponent(value, m) for value in phi.values]
+    if None in exponents:
+        at = phi.group.tuple_at(exponents.index(None), phi.degree)
+        raise ValueError(f"value at {at} is not in mu_{m}; undecidable in mu_{m} backend")
     return np.array(exponents, dtype=np.int64)
 
 
 def cochain_from_exponents(group, degree: int, vec, m: int) -> Cochain:
-    return Cochain(group, degree, [root_of_unity(m, int(k) % m) for k in vec])
+    return _cochain_of_powers(group, degree, root_of_unity(m), np.asarray(vec) % m)
 
 
 def is_coboundary_mu(phi: Cochain, m: int) -> Cochain | None:

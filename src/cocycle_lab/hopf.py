@@ -34,8 +34,10 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .braidings import AbelianCocycle, abelian_coboundary
-from .cochains import Cochain, cocycle3_failure, cyclic_phi_q, cyclic_twist_cochain
-from .cochains import evaluate, first_failure, is_normalized3, law, positions, table_from_json
+from .cochains import (
+    Cochain, cocycle3_failure, cyclic_phi_q, cyclic_qabc_coboundary_witness, cyclic_twist_cochain,
+    evaluate, first_failure, is_normalized3, law, positions, table_from_json,
+)
 from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
 from .klein import coboundary_witness_g, coboundary_witness_h
 from .scalars import CycScalar, coerce, root_of_unity
@@ -483,12 +485,7 @@ def cyclic_power_twist(n: int, q=None) -> WeakBraidedHopf:
     """
     if q is None:
         q = root_of_unity(n, 1)
-    q = coerce(q)
-    if not (q**n).is_one():
-        raise ValueError("q must satisfy q^n = 1")
-    if not (q ** (n * (n - 1) // 2)).is_one():
-        raise ValueError("q must satisfy q^(n(n-1)/2) = 1")
-    return weak_hopf_build(cyclic(n), cyclic_twist_cochain(n, q))
+    return weak_hopf_build(cyclic(n), cyclic_qabc_coboundary_witness(n, q))
 
 
 def cyclic_comult_crosscheck(n: int, q=None) -> dict:

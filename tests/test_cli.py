@@ -202,6 +202,8 @@ PINNED_HOPF_BUILDS = {
     "prop54ii --d 2": ("a78a17f8b519aa60c5b9d9d62efd44beb1096810", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
     "prop53 --n 3": ("9a93c64954ff88f5bc18037a06d239ca4110690f", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
     "prop53 --n 5": ("d47ae9c2bea21783989bc320d601c8cb5110e5d6", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
+    # recorded before the twist was built from a table of q's powers
+    "prop53 --n 21": ("c863f168dc9688b798dc84e78b800b8f0b37a311", "8f57c4b1b69be74dab5977840497072c5538ad15", 0),
 }
 
 

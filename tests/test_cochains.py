@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cocycle_lab import cochains
-from cocycle_lab.braidings import HEXAGONS, enumerate_klein_braidings
+from cocycle_lab.braidings import HEXAGONS, cyclic_braiding, enumerate_klein_braidings
 from cocycle_lab.cochains import (
     COCYCLE_LAW,
     Cochain,
@@ -18,11 +18,13 @@ from cocycle_lab.cochains import (
     boundary_matrix,
     coboundary_law,
     cochain_exponents,
+    cochain_from_exponents,
     cocycle3_failure,
     cohomology,
     cyclic_phi_q,
     cyclic_qabc,
     cyclic_qabc_coboundary_witness,
+    cyclic_twist_cochain,
     delta2,
     delta3,
     evaluate,
@@ -206,18 +208,44 @@ def test_cyclic_phi_q():
         cyclic_phi_q(3, root_of_unity(4, 1))
 
 
-def test_cyclic_phi_q_power_table_matches_the_per_entry_formula():
-    # the values come from a table of the n powers of q; each must be the
-    # scalar q^x itself, in the same field and coordinates
-    for n in range(1, 9):
-        for k in range(n):
-            q = root_of_unity(n, k)
-            G = cyclic(n)
-            expected = [CycScalar.one(q.conductor) if y.exponents[0] + z.exponents[0] < n
-                        else q ** x.exponents[0] for x, y, z in G.tuples(3)]
-            got = cyclic_phi_q(n, q).values
-            assert [(v.conductor, v.nums, v.den) for v in got] == \
-                [(v.conductor, v.nums, v.den) for v in expected]
+# the oracle: each family by its definition, q ** e computed at every tuple
+def _power_oracle(n, degree, q, exponent):
+    return [q ** exponent(*(g.exponents[0] for g in args)) for args in cyclic(n).tuples(degree)]
+
+
+def _coordinates(values):
+    return [(v.conductor, v.nums, v.den) for v in values]
+
+
+def _roots(n, order):
+    """Every q = zeta_order^k, at its own conductor and lifted to twice it."""
+    for k in range(order):
+        q = root_of_unity(order, k)
+        yield from (q, q.lift(2 * order))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exponent_tables_match_the_per_entry_formulas(n):
+    # value for value, conductor and coordinates included
+    minus_one = [CycScalar.rational(-1)] if n % 2 == 0 else []
+    for q in [*_roots(n, n), *minus_one]:
+        step = _power_oracle(n, 3, q, lambda x, y, z: x if y + z >= n else 0)
+        assert _coordinates(cyclic_phi_q(n, q).values) == _coordinates(step)
+        cubic = _power_oracle(n, 3, q, lambda x, y, z: x * y * z)
+        assert _coordinates(cyclic_qabc(n, q).values) == _coordinates(cubic)
+    for q in [*_roots(n, n), *minus_one, CycScalar.rational(3), CycScalar.rational(-1, 2)]:
+        twist = _power_oracle(n, 2, q, lambda a, b: -(a - 1) * a * b // 2)
+        assert _coordinates(cyclic_twist_cochain(n, q).values) == _coordinates(twist)
+    braidings = [nu for nu in _roots(n, 2 * n) if (nu ** (n * n)).is_one() and (nu ** (2 * n)).is_one()]
+    for nu in braidings + minus_one:
+        pair = cyclic_braiding(n, nu)
+        step = _power_oracle(n, 3, nu**n, lambda x, y, z: x if y + z >= n else 0)
+        assert _coordinates(pair.phi.values) == _coordinates(step)
+        assert _coordinates(pair.R.values) == _coordinates(_power_oracle(n, 2, nu, lambda x, y: x * y))
+    assert braidings
+    exponents = np.arange(-2 * n, n)  # read mod n, as zeta_n^(k mod n)
+    mu_table = cochain_from_exponents(cyclic(3 * n), 1, exponents, n)
+    assert _coordinates(mu_table.values) == _coordinates([root_of_unity(n, k % n) for k in exponents.tolist()])
 
 
 def test_cyclic_phi_q_multiplicative(rng):
@@ -460,6 +488,31 @@ def test_cohomology_degree_one_bound_counts_the_square_tables(monkeypatch):
     cached = positions(rule, group)
     monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", 143)
     assert positions(rule, group) is cached
+
+
+def test_arity_one_positions_fit_their_count(monkeypatch):
+    # at arity 1 the exponent axis is dense, |G| cells: with the two term
+    # arrays and the word being added, 4 |G| for +Q(X) -Q(x); a negated word
+    # and the last word's array left alive used to make the peak 5 |G|
+    rule, size = law("+Q(X) -Q(x)"), 200_000
+    cochains._positions.cache_clear()
+    tracemalloc.start()
+    try:
+        positions(rule, cyclic(size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        cochains._positions.cache_clear()
+    assert 3 * 8 * size < peak <= 4 * 8 * size + 2**16
+    message = "the positions of a 2-term law on 6^1 points exceed 23 cells"
+    for bound, refused in ((24, False), (23, True)):
+        monkeypatch.setattr(cochains, "MATRIX_CELL_BOUND", bound)
+        cochains._positions.cache_clear()
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                positions(rule, cyclic(6))
+        else:
+            assert len(positions(rule, cyclic(6))) == 2
 
 
 def test_cohomology_degree_one_refuses_before_the_square_tables():
