@@ -202,6 +202,11 @@ def cmd_hopf_build(args) -> int:
     else:
         raise ValueError(f"unknown family {family!r}")
     G = built.group
+    exit_code, report = 0, None
+    if args.check:  # before serializing: a group past the law bound is refused at once
+        report = check_weak_hopf(built)
+        print(report.summary(), file=sys.stderr)
+        exit_code = 0 if report.passed else 1
     data = {
         "group": G.to_json(),
         "multiplication": [
@@ -221,12 +226,8 @@ def cmd_hopf_build(args) -> int:
         },
         "counit": {str(x): built.counit[x].to_json() for x in G.elements()},
     }
-    exit_code = 0
-    if args.check:
-        report = check_weak_hopf(built)
-        print(report.summary(), file=sys.stderr)
+    if report is not None:
         data["axioms"] = report.results
-        exit_code = 0 if report.passed else 1
     _emit(data)
     return exit_code
 

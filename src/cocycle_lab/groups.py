@@ -3,7 +3,9 @@
 Groups are structural: a group is just its tuple of cyclic factor orders,
 and two groups with the same orders are the same group.  Elements are
 exponent vectors reduced componentwise into canonical range, and the group
-law is written multiplicatively.
+law is written multiplicatively.  Once a group's ``elements()`` tuple is
+built, products and inverses return its entries rather than new elements,
+so equal elements are mostly one object and dict lookups compare by identity.
 """
 
 from __future__ import annotations
@@ -37,14 +39,21 @@ class GroupElement:
         self._hash = hash((group.orders, self.exponents))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group.orders != self.group.orders:
+        group = self.group
+        if other.group.orders != group.orders:
             raise ValueError("elements of different groups cannot be composed")
-        return GroupElement(
-            self.group, [a + b for a, b in zip(self.exponents, other.exponents)]
-        )
+        elements = group._elements
+        if elements is None:
+            return GroupElement(group, [a + b for a, b in zip(self.exponents, other.exponents)])
+        # group._canonical inlined: the hottest call of the matrix oracle
+        index, stride = 0, 1
+        for a, b, n in zip(self.exponents, other.exponents, group.orders):
+            index += (a + b) % n * stride
+            stride *= n
+        return elements[index]
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, [-e for e in self.exponents])
+        return self.group._canonical([-e for e in self.exponents])
 
     @property
     def is_identity(self) -> bool:
@@ -57,7 +66,7 @@ class GroupElement:
         return result
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GroupElement)
             and self.exponents == other.exponents
             and self.group.orders == other.group.orders
@@ -120,6 +129,21 @@ class FiniteAbelianGroup:
                 for exps in _cartesian(*(range(n) for n in reversed(self.orders)))
             )
         return self._elements
+
+    def _canonical(self, exponents: list[int]) -> GroupElement:
+        """The element with these exponents, any integers: the entry of
+        ``elements()`` when that tuple is built (its index read off the
+        exponents, as ``position`` does), else a new element, so that a
+        product never builds the tuple.
+        """
+        elements = self._elements
+        if elements is None:
+            return GroupElement(self, exponents)
+        index, stride = 0, 1
+        for e, n in zip(exponents, self.orders):
+            index += e % n * stride
+            stride *= n
+        return elements[index]
 
     def tuple_count(self, n: int) -> int:
         """|G|^n, or ValueError beyond the enumeration bound."""

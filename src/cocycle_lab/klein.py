@@ -15,16 +15,35 @@ and the cohomology class of any cocycle is (signs, square class of b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .cochains import Cochain, cocycle3_failure, delta2, is_normalized3, normalize3, pullback
-from .groups import FiniteAbelianGroup, GroupElement, cyclic, klein
+from .groups import GroupElement, cyclic, klein
 from .scalars import CycScalar, coerce, square_class
 
 NAMES = ("sigma", "tau", "rho")
 
+# indices of e, sigma, tau, rho in klein().elements(); a point (x, y, z) of
+# a degree-3 table sits at flat position 16x + 4y + z
+E, S, T, R = range(4)
 
-def _named_elements(group: FiniteAbelianGroup):
-    return group.e, group.sigma, group.tau, group.rho
+
+def _at(phi: Cochain, *point: int) -> CycScalar:
+    """phi at a point given by element indices, read by position."""
+    flat = 0
+    for x in point:
+        flat = 4 * flat + x
+    return phi.values[flat]
+
+
+def _klein_table(degree: int, unit, default, slots: dict) -> list:
+    """Values in ``klein().tuples(degree)`` order: ``unit`` at every point with
+    an argument e, ``slots[point]`` at the points it lists (by element index),
+    ``default`` at every other point."""
+    return [
+        unit if E in point else slots.get(point, default)
+        for point in product(range(4), repeat=degree)
+    ]
 
 
 def klein_2cochain(a1=1, a2=1, a3=1, b1=1, b2=1, b3=1, b4=1, b5=1, b6=1, c=1) -> Cochain:
@@ -34,14 +53,13 @@ def klein_2cochain(a1=1, a2=1, a3=1, b1=1, b2=1, b3=1, b4=1, b5=1, b6=1, c=1) ->
     b1..b6 at (sigma,tau), (tau,rho), (rho,sigma), (tau,sigma),
     (sigma,rho), (rho,tau); every pair containing e takes the value c.
     """
-    G = klein()
-    e, s, t, r = _named_elements(G)
-    table = {
-        (s, s): a1, (t, t): a2, (r, r): a3,
-        (s, t): b1, (t, r): b2, (r, s): b3,
-        (t, s): b4, (s, r): b5, (r, t): b6,
+    slots = {
+        (S, S): a1, (T, T): a2, (R, R): a3,
+        (S, T): b1, (T, R): b2, (R, S): b3,
+        (T, S): b4, (S, R): b5, (R, T): b6,
     }
-    return Cochain.from_function(G, 2, lambda x, y: table.get((x, y), c))
+    c = coerce(c)  # the seven pairs with an e share one value
+    return Cochain(klein(), 2, _klein_table(2, c, c, slots))
 
 
 @dataclass(frozen=True)
@@ -71,32 +89,28 @@ class HappyParams:
 
 def reconstruct(params: HappyParams) -> Cochain:
     """The happy cocycle with the given parameters, as a full 64-entry table."""
-    G = klein()
-    e, s, t, r = _named_elements(G)
-    es, et, er = params.eps_sigma, params.eps_tau, params.eps_rho
-    p, a, b = params.p, params.a, params.b
-    ai, bi = a.inv(), b.inv()
-    one = CycScalar.one()
-    table = {
-        (s, s, s): es * one, (t, t, t): et * one, (r, r, r): er * one,
+    es, et, er, p = params.eps_sigma, params.eps_tau, params.eps_rho, params.p
+    # every value is +-1, +-a^(+-1) or +-b^(+-1): each computed once, by sign
+    one, a, ai, b, bi = (
+        {1: x, -1: -x}
+        for x in (CycScalar.one(), params.a, params.a.inv(), params.b, params.b.inv())
+    )
+    slots = {
+        (S, S, S): one[es], (T, T, T): one[et], (R, R, R): one[er],
         # the twelve entries tied to a
-        (t, s, s): a,            (s, s, t): ai,
-        (s, t, t): p * a,        (t, t, s): p * ai,
-        (r, s, s): es * a,       (s, s, r): es * ai,
-        (r, t, t): p * et * a,   (t, t, r): p * et * ai,
-        (s, r, r): p * es * a,   (r, r, s): p * es * ai,
-        (t, r, r): et * a,       (r, r, t): et * ai,
+        (T, S, S): a[1],          (S, S, T): ai[1],
+        (S, T, T): a[p],          (T, T, S): ai[p],
+        (R, S, S): a[es],         (S, S, R): ai[es],
+        (R, T, T): a[p * et],     (T, T, R): ai[p * et],
+        (S, R, R): a[p * es],     (R, R, S): ai[p * es],
+        (T, R, R): a[et],         (R, R, T): ai[et],
         # the six entries tied to b
-        (s, t, s): b,            (t, s, t): p * bi,
-        (r, s, r): p * es * b,   (s, r, s): es * bi,
-        (t, r, t): p * et * b,   (r, t, r): et * bi,
+        (S, T, S): b[1],          (T, S, T): bi[p],
+        (R, S, R): b[p * es],     (S, R, S): bi[es],
+        (T, R, T): b[p * et],     (R, T, R): bi[et],
     }
-    p_val = p * one  # at the pairwise distinct non-identity triples
-
-    def value(*key):
-        return one if any(g.is_identity for g in key) else table.get(key, p_val)
-
-    return Cochain.from_function(G, 3, value)
+    # p at the pairwise distinct non-identity triples
+    return Cochain(klein(), 3, _klein_table(3, one[1], one[p], slots))
 
 
 def phi_X(subset) -> Cochain:
@@ -136,12 +150,8 @@ def g_b(b) -> Cochain:
 def is_happy(phi: Cochain) -> bool:
     """Whether all six pairwise-distinct triples carry the product of the signs."""
     _require_klein3(phi)
-    G = phi.group
-    e, s, t, r = _named_elements(G)
-    p = phi(s, s, s) * phi(t, t, t) * phi(r, r, r)
-    from itertools import permutations
-
-    return all(phi(*triple) == p for triple in permutations((s, t, r)))
+    p = _at(phi, S, S, S) * _at(phi, T, T, T) * _at(phi, R, R, R)
+    return all(_at(phi, *point) == p for point in permutations((S, T, R)))
 
 
 def _require_klein3(phi: Cochain):
@@ -167,16 +177,14 @@ def happify(phi: Cochain) -> tuple[Cochain, Cochain]:
 
 def _happify(phi: Cochain) -> tuple[Cochain, Cochain]:
     """happify without the input checks, for a known normalized Klein cocycle."""
-    G = phi.group
-    e, s, t, r = _named_elements(G)
-    p = phi(s, t, r) * phi(t, r, s) * phi(r, s, t)
+    p = _at(phi, S, T, R) * _at(phi, T, R, S) * _at(phi, R, S, T)
     witness = klein_2cochain(
         b1=p,
-        b2=phi(s, t, r).inv(),
-        b3=phi(r, s, t),
-        b4=phi(t, s, r),
+        b2=_at(phi, S, T, R).inv(),
+        b3=_at(phi, R, S, T),
+        b4=_at(phi, T, S, R),
         b5=p,
-        b6=phi(s, r, t).inv(),
+        b6=_at(phi, S, R, T).inv(),
     )
     happy = phi * delta2(witness)
     if not is_happy(happy):
@@ -188,18 +196,16 @@ def happy_params(phi: Cochain) -> HappyParams:
     """Read the five defining parameters off a happy cocycle."""
     if not is_happy(phi):
         raise ValueError("parameter extraction needs a happy cocycle")
-    G = phi.group
-    e, s, t, r = _named_elements(G)
     eps = []
-    for x in (s, t, r):
-        v = phi(x, x, x)
+    for x in (S, T, R):
+        v = _at(phi, x, x, x)
         if v == 1:
             eps.append(1)
         elif v == -1:
             eps.append(-1)
         else:
             raise ValueError(f"diagonal value {v} is not a sign")
-    return HappyParams(*eps, phi(t, s, s), phi(s, t, s))
+    return HappyParams(*eps, _at(phi, T, S, S), _at(phi, S, T, S))
 
 
 @dataclass(frozen=True)

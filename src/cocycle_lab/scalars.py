@@ -143,16 +143,20 @@ class CycScalar:
     def rational(cls, value, conductor: int = 1) -> "CycScalar":
         if isinstance(value, float):
             raise TypeError(f"exact scalars take no float, got {value!r}")
+        if type(value) is int:  # already reduced: skip the validating constructor
+            conductor = index(conductor)  # int() would truncate a float
+            deg = len(cyclotomic_polynomial(conductor)) - 1
+            return object.__new__(cls)._set(conductor, [value] + [0] * (deg - 1), 1)
         q = Fraction(value)
         return cls(conductor, [q.numerator], q.denominator)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycScalar":
-        return cls(conductor, [])
+        return cls.rational(0, conductor)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CycScalar":
-        return cls(conductor, [1])
+        return cls.rational(1, conductor)
 
     # -- structure --------------------------------------------------- #
 
@@ -199,12 +203,12 @@ class CycScalar:
             x * b.den + y * a.den
             for x, y in zip(a.nums, b.nums)
         ]
-        return CycScalar(a.conductor, nums, a.den * b.den)
+        return object.__new__(CycScalar)._set(a.conductor, nums, a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.conductor, [-x for x in self.nums], self.den)
+        return object.__new__(CycScalar)._set(self.conductor, [-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "CycScalar":
         return self + (-other if isinstance(other, CycScalar) else -Fraction(other))
@@ -280,12 +284,18 @@ class CycScalar:
         exponent = index(exponent)  # int() would truncate a float
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = CycScalar.one(self.conductor)
+        if exponent == 0:
+            return CycScalar.one(self.conductor)
         base = self
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base  # the lowest set bit; square only up to the top bit
+        exponent >>= 1
         while exponent:
+            base = base * base
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
         return result
 

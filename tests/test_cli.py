@@ -215,6 +215,26 @@ def test_hopf_build_check_pinned(capsys, family):
     assert (*digests, code) == PINNED_HOPF_BUILDS[family]
 
 
+def test_hopf_build_checks_before_it_serializes(capsys, monkeypatch):
+    # the check refuses C61 at the law bound, so no scalar is ever written
+    def unreachable(self):
+        raise AssertionError("hopf build serialized a structure the check refuses")
+
+    monkeypatch.setattr(CycScalar, "to_json", unreachable)
+    code = main(["hopf", "build", "--family", "prop53", "--n", "61", "--check"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_verify_paper_json_pinned(capsys):
+    # sha1 of `verify-paper --json` stdout, recorded before products returned
+    # the group's own elements and the Klein tables were filled by position
+    code, out = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "626652aa630caa0641ba8bbe802ecf6f9dd29f4a"
+
+
 def test_hopf_build_refuses_group(capsys):
     # each family fixes its group; --group used to be accepted and ignored
     with pytest.raises(SystemExit) as refused:

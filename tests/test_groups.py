@@ -1,3 +1,6 @@
+from itertools import product
+from operator import add, neg
+
 import pytest
 
 from cocycle_lab.groups import FiniteAbelianGroup, cyclic, klein, tuples
@@ -134,3 +137,44 @@ def test_position_and_tuple_at_invert_tuples_order(orders):
 def test_position_refuses_elements_of_another_group(G):
     with pytest.raises(ValueError, match="not an element of C2xC2"):
         G.position((G.sigma, cyclic(4).generator()))
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (3, 3), (2, 4), (6,)])
+def test_products_and_inverses_by_exponents(orders):
+    G = FiniteAbelianGroup(orders)
+
+    def reduced(exponents):
+        return tuple(e % n for e, n in zip(exponents, orders, strict=True))
+
+    points = list(product(*(range(n) for n in orders)))
+    for x in points:  # before elements() is built: new elements, no tuple
+        g = G.element(x)
+        assert g.inverse().exponents == reduced(map(neg, x))
+        for y in points:
+            assert (g * G.element(y)).exponents == reduced(map(add, x, y))
+    assert G._elements is None
+    elements = G.elements()
+    for g in elements:  # afterwards: the entries of elements() themselves
+        inverse = g.inverse()
+        assert inverse.exponents == reduced(map(neg, g.exponents))
+        assert inverse is elements[G.position((inverse,))]
+        for h in elements:
+            gh = g * h
+            assert gh.exponents == reduced(map(add, g.exponents, h.exponents))
+            assert gh is elements[G.position((gh,))]
+
+
+def test_product_builds_no_element_tuple():
+    G = FiniteAbelianGroup((10**7,))
+    g = G.element([10**7 - 1]) * G.element([3])
+    assert g.exponents == (2,) and G._elements is None
+    assert g.inverse().exponents == (10**7 - 2,) and G._elements is None
+
+
+def test_products_of_equal_groups_stay_in_the_left_group():
+    # groups are structural: a product with an element of an equal group is
+    # taken in the left factor's group, from its tuple when that is built
+    G, H = klein(), klein()
+    elements = G.elements()
+    assert G.sigma * H.element([0, 1]) is elements[3]
+    assert H.element([1, 0]) * G.tau == G.rho and H._elements is None

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -323,3 +326,108 @@ def test_happify_requires_normalized_cocycle(G):
 def test_happy_params_requires_happy(G):
     with pytest.raises(ValueError):
         happy_params(delta2(klein_2cochain(b1=2)))
+
+
+# ----------------------------------------------------------------- #
+# the tables by position against their named-element versions
+# ----------------------------------------------------------------- #
+
+def _reconstruct_by_names(params):
+    """reconstruct as first written: a dict keyed by named elements."""
+    G = klein()
+    s, t, r = G.sigma, G.tau, G.rho
+    es, et, er = params.eps_sigma, params.eps_tau, params.eps_rho
+    p, a, b = params.p, params.a, params.b
+    ai, bi = a.inv(), b.inv()
+    one = CycScalar.one()
+    table = {
+        (s, s, s): es * one, (t, t, t): et * one, (r, r, r): er * one,
+        (t, s, s): a,            (s, s, t): ai,
+        (s, t, t): p * a,        (t, t, s): p * ai,
+        (r, s, s): es * a,       (s, s, r): es * ai,
+        (r, t, t): p * et * a,   (t, t, r): p * et * ai,
+        (s, r, r): p * es * a,   (r, r, s): p * es * ai,
+        (t, r, r): et * a,       (r, r, t): et * ai,
+        (s, t, s): b,            (t, s, t): p * bi,
+        (r, s, r): p * es * b,   (s, r, s): es * bi,
+        (t, r, t): p * et * b,   (r, t, r): et * bi,
+    }
+    p_val = p * one
+
+    def value(*key):
+        return one if any(g.is_identity for g in key) else table.get(key, p_val)
+
+    return Cochain.from_function(G, 3, value)
+
+
+def _klein_2cochain_by_names(a1=1, a2=1, a3=1, b1=1, b2=1, b3=1, b4=1, b5=1, b6=1, c=1):
+    """klein_2cochain as first written: a dict keyed by named elements."""
+    G = klein()
+    s, t, r = G.sigma, G.tau, G.rho
+    table = {
+        (s, s): a1, (t, t): a2, (r, r): a3,
+        (s, t): b1, (t, r): b2, (r, s): b3,
+        (t, s): b4, (s, r): b5, (r, t): b6,
+    }
+    return Cochain.from_function(G, 2, lambda x, y: table.get((x, y), c))
+
+
+def _same_table(phi, psi):
+    return (phi.group, phi.degree) == (psi.group, psi.degree) and [
+        (v.conductor, v.nums, v.den) for v in phi.values
+    ] == [(v.conductor, v.nums, v.den) for v in psi.values]
+
+
+PARAMETERS = MU4 + [CycScalar.rational(2), CycScalar.rational(Fraction(1, 2)),
+                    root_of_unity(3, 1), root_of_unity(8, 3) + 1]
+
+
+def test_reconstruct_matches_the_named_element_table():
+    for eps in product((1, -1), repeat=3):
+        for a, b in product(PARAMETERS, repeat=2):
+            params = HappyParams(*eps, a, b)
+            assert _same_table(reconstruct(params), _reconstruct_by_names(params)), params
+
+
+def test_klein_2cochain_matches_the_named_element_table(rng):
+    pool = [1, -1, 3, Fraction(2, 7), Fraction(-5, 3)] + PARAMETERS
+    assert _same_table(klein_2cochain(), _klein_2cochain_by_names())
+    for _ in range(200):
+        args = [rng.choice(pool) for _ in range(10)]
+        assert _same_table(klein_2cochain(*args), _klein_2cochain_by_names(*args)), args
+
+
+def test_klein_2cochain_refuses_like_the_named_element_table():
+    # the first bad value in tuples order is named: c sits at (e, e)
+    for kwargs in ({"c": 0.5, "a1": 1.5}, {"b5": 0, "b1": 0}, {"a3": 0.25}):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _klein_2cochain_by_names(**kwargs)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            klein_2cochain(**kwargs)
+
+
+# sha1s of the to_json of reconstruct over every sign pattern with a, b in
+# mu_4 and {2, 1/2}, and of klein_2cochain with mixed arguments, recorded
+# while both tables were built from dicts keyed by named elements
+def _sha1_of_tables(tables):
+    text = "".join(json.dumps(phi.to_json(), sort_keys=True) for phi in tables)
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_klein_tables_pinned():
+    values = MU4 + [CycScalar.rational(2), CycScalar.rational(Fraction(1, 2))]
+    happy = [
+        reconstruct(HappyParams(*eps, a, b))
+        for eps in product((1, -1), repeat=3)
+        for a in values
+        for b in values
+    ]
+    assert _sha1_of_tables(happy) == "c35b2736749d6f2d185e0f342bfc16c15b8d4818"
+    i = root_of_unity(4, 1)
+    cochains = [
+        klein_2cochain(),
+        klein_2cochain(2, Fraction(1, 3), i, -1, 5, i * i, Fraction(-7, 2), 3, i.inv(), c=1),
+        klein_2cochain(a1=i, b3=Fraction(2, 5), c=-1),
+        klein_2cochain(b1=root_of_unity(8, 3), b6=4, a2=i),
+    ]
+    assert _sha1_of_tables(cochains) == "78f1e20937ae4e319d3947038cd2d47e08cbf4e1"

@@ -306,3 +306,47 @@ def test_twist_cochain_with_int_q_is_exact():
     values = {v.as_rational() for v in cyclic_twist_cochain(3, 3).values}
     assert values == {1, Fraction(1, 3), Fraction(1, 9)}
     assert cyclic_twist_cochain(3, 3) == cyclic_twist_cochain(3, coerce(3))
+
+
+def _same(x, y):
+    return (x.conductor, x.nums, x.den) == (y.conductor, y.nums, y.den)
+
+
+@pytest.mark.parametrize("q", [root_of_unity(n, k) for n in range(1, 9) for k in range(n)]
+                         + [CycScalar.rational(3)], ids=str)
+def test_power_is_the_repeated_product(q, monkeypatch):
+    n = max(q.conductor, 4)
+    for e in range(-2 * n, 2 * n + 1):
+        factor = q if e >= 0 else q.inv()
+        expected = CycScalar.one(q.conductor)
+        for _ in range(abs(e)):
+            expected = expected * factor
+        assert _same(q**e, expected), e
+    # square-and-multiply from the lowest set bit: bit_length - 1 squarings
+    # and popcount - 1 products
+    calls = []
+    original = CycScalar.__mul__
+    monkeypatch.setattr(CycScalar, "__mul__", lambda x, y: calls.append(1) or original(x, y))
+    for e in range(1, 2 * n + 1):
+        calls.clear()
+        q**e
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 2, e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12])
+def test_results_built_without_the_constructor_are_canonical(n, rng):
+    # __add__, __neg__, __mul__ and rational(int) skip the validating constructor;
+    # their stored form must be the one the constructor gives
+    for _ in range(30):
+        x = sum((rng.randrange(-4, 5) * root_of_unity(n, k) for k in range(n)), CycScalar.zero(n))
+        x = x * CycScalar.rational(Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)), n)
+        y = CycScalar.rational(Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)), rng.choice([1, n]))
+        for value in (x + y, y + x, -x, x * y, x - y):
+            assert _same(value, CycScalar(value.conductor, value.nums, value.den))
+        k = rng.randrange(-9, 10)
+        assert _same(CycScalar.rational(k, n), CycScalar(n, [k]))
+    assert _same(CycScalar.zero(n), CycScalar(n, [])) and _same(CycScalar.one(n), CycScalar(n, [1]))
+    with pytest.raises(ValueError):
+        CycScalar.rational(1, 0)
+    with pytest.raises(TypeError):
+        CycScalar.rational(1, 4.0)
