@@ -336,46 +336,120 @@ def count_hexagon_solutions_mu(phi: Cochain, m: int = 4) -> int:
 # matrix-level coherence oracle
 # ----------------------------------------------------------------- #
 
-def _compose(after: dict, before: dict) -> dict:
-    """after o before for monomial maps: basis tuple -> (image tuple, coefficient)."""
-    composite = {}
-    for key, (mid, coeff) in before.items():
-        image, c2 = after[mid]
-        composite[key] = (image, coeff * c2)
-    return composite
+class _Scalars:
+    """The distinct scalars of one oracle call, numbered, with each product
+    and inverse computed once.
+
+    A value is numbered by (conductor, nums, den), its canonical form within
+    one conductor, so one number is one value and ``CycScalar`` itself
+    multiplies each distinct pair.  Equal values at two conductors get two
+    numbers: that costs an extra product, never a verdict, since the maps
+    are compared as ``CycScalar``s.
+    """
+
+    def __init__(self):
+        self.values: list[CycScalar] = []
+        self._numbers: dict[tuple, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._inverses: dict[int, int] = {}
+
+    def number(self, x: CycScalar) -> int:
+        key = (x.conductor, x.nums, x.den)
+        k = self._numbers.get(key)
+        if k is None:
+            k = self._numbers[key] = len(self.values)
+            self.values.append(x)
+        return k
+
+    def mul(self, a: int, b: int) -> int:
+        k = self._products.get((a, b))
+        if k is None:
+            k = self._products[a, b] = self.number(self.values[a] * self.values[b])
+        return k
+
+    def inv(self, a: int) -> int:
+        k = self._inverses.get(a)
+        if k is None:
+            k = self._inverses[a] = self.number(self.values[a].inv())
+        return k
+
+    def equal(self, lhs: tuple, rhs: tuple) -> bool:
+        """Whether two monomial maps agree: images, then coefficients by value."""
+        values = self.values
+        return lhs[0] == rhs[0] and [values[k] for k in lhs[1]] == [values[k] for k in rhs[1]]
+
+
+def _index_products(group: FiniteAbelianGroup) -> list[list[int]]:
+    """The |G| x |G| product table on positions in ``elements()``."""
+    elements = group.elements()
+    where = {g: i for i, g in enumerate(elements)}
+    return [[where[g * h] for h in elements] for g in elements]
+
+
+def _compose(after: tuple, before: tuple, scalars: _Scalars) -> tuple:
+    """after o before for monomial maps.
+
+    A map is two lists over the basis positions of ``tuples(k)``: the
+    position of each basis tuple's image, and its coefficient's number.
+    """
+    after_img, after_coeff = after
+    img, coeff = before
+    mul = scalars.mul
+    return [after_img[m] for m in img], [mul(c, after_coeff[m]) for m, c in zip(img, coeff)]
 
 
 def categorical_pentagon_check(phi: Cochain) -> bool:
     """Pentagon coherence on four regular graded spaces, by composing monomial maps."""
     if phi.degree != 3:
         raise ValueError("expected a degree-3 cochain")
-    keys = list(phi.group.tuples(4))
-    f = dict(zip(phi.group.tuples(3), phi.values))
-    outer = {k: (k, f[(k[0] * k[1], k[2], k[3])]) for k in keys}
-    inner = {k: (k, f[(k[0], k[1], k[2] * k[3])]) for k in keys}
-    first = {k: (k, f[(k[0], k[1], k[2])]) for k in keys}
-    middle = {k: (k, f[(k[0], k[1] * k[2], k[3])]) for k in keys}
-    last = {k: (k, f[(k[1], k[2], k[3])]) for k in keys}
-    return _compose(inner, outer) == _compose(last, _compose(middle, first))
+    size = phi.group.size
+    times = _index_products(phi.group)
+    scalars = _Scalars()
+    f = [scalars.number(x) for x in phi.values]
+    keys = list(_cartesian(range(size), repeat=4))
+    same = list(range(len(keys)))
+
+    def associator(cell):
+        """k -> phi(cell(k)) k, with ``cell`` on element positions."""
+        return same, [f[(x * size + y) * size + z] for x, y, z in (cell(*k) for k in keys)]
+
+    outer = associator(lambda a, b, c, d: (times[a][b], c, d))
+    inner = associator(lambda a, b, c, d: (a, b, times[c][d]))
+    first = associator(lambda a, b, c, d: (a, b, c))
+    middle = associator(lambda a, b, c, d: (a, times[b][c], d))
+    last = associator(lambda a, b, c, d: (b, c, d))
+    return scalars.equal(
+        _compose(inner, outer, scalars),
+        _compose(last, _compose(middle, first, scalars), scalars),
+    )
 
 
 def categorical_hexagon_check(phi: Cochain, R: Cochain) -> bool:
     """Both hexagon diagrams on three regular graded spaces, by composing monomial maps."""
     _require_pair(phi, R)
-    keys = list(phi.group.tuples(3))
-    f = dict(zip(keys, phi.values))
-    r = dict(zip(phi.group.tuples(2), R.values))
-    assoc = {k: (k, f[k]) for k in keys}
-    assoc_inv = {k: (k, f[k].inv()) for k in keys}
-    braid_first_past_rest = {k: ((k[1], k[2], k[0]), r[(k[0], k[1] * k[2])]) for k in keys}
-    braid_left_pair = {k: ((k[1], k[0], k[2]), r[(k[0], k[1])]) for k in keys}
-    braid_right_pair = {k: ((k[0], k[2], k[1]), r[(k[1], k[2])]) for k in keys}
-    lhs = _compose(assoc, _compose(braid_first_past_rest, assoc))
-    rhs = _compose(braid_right_pair, _compose(assoc, braid_left_pair))
-    if lhs != rhs:
+    size = phi.group.size
+    times = _index_products(phi.group)
+    scalars = _Scalars()
+    f = [scalars.number(x) for x in phi.values]
+    r = [scalars.number(x) for x in R.values]
+    keys = list(_cartesian(range(size), repeat=3))
+
+    def braiding(move):
+        """k -> R(cell) image, where ``move(*k)`` is (image, cell) on element positions."""
+        images, cells = zip(*(move(*k) for k in keys))
+        return [(x * size + y) * size + z for x, y, z in images], [r[x * size + y] for x, y in cells]
+
+    assoc = (list(range(len(keys))), f)
+    assoc_inv = (assoc[0], [scalars.inv(c) for c in f])
+    braid_first_past_rest = braiding(lambda a, b, c: ((b, c, a), (a, times[b][c])))
+    braid_left_pair = braiding(lambda a, b, c: ((b, a, c), (a, b)))
+    braid_right_pair = braiding(lambda a, b, c: ((a, c, b), (b, c)))
+    lhs = _compose(assoc, _compose(braid_first_past_rest, assoc, scalars), scalars)
+    rhs = _compose(braid_right_pair, _compose(assoc, braid_left_pair, scalars), scalars)
+    if not scalars.equal(lhs, rhs):
         return False
 
-    braid_rest_past_last = {k: ((k[2], k[0], k[1]), r[(k[0] * k[1], k[2])]) for k in keys}
-    lhs = _compose(assoc_inv, _compose(braid_rest_past_last, assoc_inv))
-    rhs = _compose(braid_left_pair, _compose(assoc_inv, braid_right_pair))
-    return lhs == rhs
+    braid_rest_past_last = braiding(lambda a, b, c: ((c, a, b), (times[a][b], c)))
+    lhs = _compose(assoc_inv, _compose(braid_rest_past_last, assoc_inv, scalars), scalars)
+    rhs = _compose(braid_left_pair, _compose(assoc_inv, braid_right_pair, scalars), scalars)
+    return scalars.equal(lhs, rhs)

@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .braidings import (
     categorical_hexagon_check,
@@ -40,6 +41,9 @@ from .klein import classify, g_b, h_a, phi_X
 from .scalars import CycScalar, root_of_unity
 from .verify import run_claims
 
+# Z/m elimination sums products of two residues in int64: m^2 must fit
+MODULUS_MAX = isqrt(2**63 - 1)
+
 _SCALAR_RE = re.compile(
     r"^(?P<sign>-?)(?:(?P<num>\d+)(?:/(?P<den>\d+))?|(?P<i>i)|zeta(?P<n>\d+)(?:\^(?P<k>-?\d+))?)$"
 )
@@ -51,10 +55,14 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     if not match:
         raise ValueError(f"cannot parse scalar {text!r}")
     if match["num"] is not None:
-        value = Fraction(int(match["num"]), int(match["den"] or 1))
-        scalar = CycScalar.rational(value, 1)
+        den = int(match["den"] or 1)
+        if den == 0:
+            raise ValueError(f"the denominator of {text!r} must be nonzero")
+        scalar = CycScalar.rational(Fraction(int(match["num"]), den), 1)
     elif match["i"]:
         scalar = root_of_unity(4, 1)
+    elif int(match["n"]) < 1:
+        raise ValueError(f"the root order in {text!r} must be at least 1")
     else:
         scalar = root_of_unity(int(match["n"]), int(match["k"] or 1))
     if match["sign"]:
@@ -62,6 +70,27 @@ def parse_scalar(text: str, conductor: int) -> CycScalar:
     if conductor % scalar.conductor == 0:
         scalar = scalar.lift(conductor)
     return scalar
+
+
+def _scalar_flag(args, name: str) -> CycScalar:
+    """The scalar given as --name, read in Q(zeta_conductor)."""
+    try:
+        return parse_scalar(getattr(args, name), args.conductor)
+    except ValueError as exc:
+        raise ValueError(f"--{name}: {exc}") from None
+
+
+def _order_flag(args) -> int:
+    """--n, the order of a cyclic group."""
+    if args.n < 1:
+        raise ValueError(f"--n must be a positive integer, got {args.n}")
+    return args.n
+
+
+def _root_flag(args, name: str) -> CycScalar:
+    """The scalar given as --name, else zeta_n for the order --n."""
+    n = _order_flag(args)
+    return _scalar_flag(args, name) if getattr(args, name) else root_of_unity(n, 1)
 
 
 def _parse_group(spec: str) -> FiniteAbelianGroup:
@@ -96,17 +125,15 @@ def cmd_generate(args) -> int:
     elif family == "h_a":
         if args.a is None:
             raise ValueError("--a is required for the h family")
-        table = h_a(parse_scalar(args.a, args.conductor))
+        table = h_a(_scalar_flag(args, "a"))
     elif family == "g_b":
         if args.b is None:
             raise ValueError("--b is required for the g family")
-        table = g_b(parse_scalar(args.b, args.conductor))
+        table = g_b(_scalar_flag(args, "b"))
     elif family == "phi_q":
-        q = parse_scalar(args.q, args.conductor) if args.q else root_of_unity(args.n, 1)
-        table = cyclic_phi_q(args.n, q)
+        table = cyclic_phi_q(args.n, _root_flag(args, "q"))
     elif family == "qabc":
-        q = parse_scalar(args.q, args.conductor) if args.q else root_of_unity(args.n, 1)
-        table = cyclic_qabc(args.n, q)
+        table = cyclic_qabc(args.n, _root_flag(args, "q"))
     else:
         raise ValueError(f"unknown family {family!r}")
     _emit(table.to_json())
@@ -172,6 +199,8 @@ def cmd_check_hexagon(args) -> int:
 
 def cmd_cohomology(args) -> int:
     group = _parse_group(args.group)
+    if not 1 <= args.modulus <= MODULUS_MAX:
+        raise ValueError(f"--modulus must be in 1..{MODULUS_MAX}, got {args.modulus}")
     report = cohomology(group, args.degree, args.modulus)
     data = report.to_json()
     if args.generators:
@@ -181,8 +210,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_hopf_reassociator(args) -> int:
-    xi = parse_scalar(args.xi, args.conductor) if args.xi else root_of_unity(args.n, 1)
-    _emit(reassociator_phi_l(args.n, args.l, xi).to_json())
+    _emit(reassociator_phi_l(args.n, args.l, _root_flag(args, "xi")).to_json())
     return 0
 
 
@@ -191,14 +219,14 @@ def cmd_hopf_build(args) -> int:
     if family == "prop54i":
         if args.a is None:
             raise ValueError("--a is required for this family")
-        built = klein_diagonal_twist(parse_scalar(args.a, args.conductor))
+        built = klein_diagonal_twist(_scalar_flag(args, "a"))
     elif family == "prop54ii":
         if args.d is None:
             raise ValueError("--d is required for this family")
-        built = klein_mixed_twist(parse_scalar(args.d, args.conductor))
+        built = klein_mixed_twist(_scalar_flag(args, "d"))
     elif family == "prop53":
-        q = parse_scalar(args.q, args.conductor) if args.q else None
-        built = cyclic_power_twist(args.n, q)
+        q = _scalar_flag(args, "q") if args.q else None
+        built = cyclic_power_twist(_order_flag(args), q)
     else:
         raise ValueError(f"unknown family {family!r}")
     G = built.group
@@ -233,8 +261,8 @@ def cmd_hopf_build(args) -> int:
 
 
 def cmd_hopf_crosscheck(args) -> int:
-    q = parse_scalar(args.q, args.conductor) if args.q else None
-    _emit(cyclic_comult_crosscheck(args.n, q))
+    q = _scalar_flag(args, "q") if args.q else None
+    _emit(cyclic_comult_crosscheck(_order_flag(args), q))
     return 0
 
 

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from itertools import combinations, product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -488,32 +489,99 @@ def test_oracle_rejects_what_the_scalar_checks_reject(G):
             oracle(*args)
 
 
-def _times_i_tampers(cochain):
-    """The cochain itself, then each copy with one cell multiplied by i."""
+def _tampers(cochain, factor=I):
+    """The cochain itself, then each copy with one cell multiplied by ``factor``."""
     yield cochain
     for k in range(len(cochain.values)):
         tampered = list(cochain.values)
-        tampered[k] *= I
+        tampered[k] *= factor
         yield Cochain(cochain.group, cochain.degree, tampered)
 
 
+def _agreement(pentagons=(), hexagons=()):
+    """The verdicts each diagram gave, each asserted equal to its scalar law."""
+    pentagon_verdicts, hexagon_verdicts = set(), set()
+    for phi in pentagons:
+        verdict = is_cocycle3(phi)
+        assert categorical_pentagon_check(phi) == verdict
+        pentagon_verdicts.add(verdict)
+    for phi, R in hexagons:
+        verdict = is_abelian_cocycle(phi, R)
+        assert categorical_hexagon_check(phi, R) == verdict
+        hexagon_verdicts.add(verdict)
+    return pentagon_verdicts, hexagon_verdicts
+
+
 def test_oracle_agrees_with_the_scalar_laws_on_single_cell_tampers():
-    pentagon_verdicts = set()
-    for subset in (set(), {"sigma", "tau"}, {"rho"}):
-        for phi in _times_i_tampers(phi_X(subset)):
-            verdict = is_cocycle3(phi)
-            assert categorical_pentagon_check(phi) == verdict
-            pentagon_verdicts.add(verdict)
+    pentagons = [phi for subset in (set(), {"sigma", "tau"}, {"rho"}) for phi in _tampers(phi_X(subset))]
     pairs = [ac for _, ac in enumerate_klein_braidings(4)]
     pairs += [cyclic_braiding(3, root_of_unity(3, 1)), cyclic_braiding(4, I)]
     assert len(pairs) == 34
-    hexagon_verdicts = set()
-    for ac in pairs:
-        for R in _times_i_tampers(ac.R):
-            verdict = is_abelian_cocycle(ac.phi, R)
-            assert categorical_hexagon_check(ac.phi, R) == verdict
-            hexagon_verdicts.add(verdict)
-    assert pentagon_verdicts == hexagon_verdicts == {True, False}
+    hexagons = [(ac.phi, R) for ac in pairs for R in _tampers(ac.R)]
+    assert _agreement(pentagons, hexagons) == ({True, False}, {True, False})
+
+
+def test_hexagon_oracle_agrees_on_single_cell_tampers_of_phi():
+    pairs = [braiding_for_label(label) for label in ("E1", "A")]
+    pairs += [cyclic_braiding(3, root_of_unity(3, 1)), cyclic_braiding(4, I)]
+    hexagons = [(phi, ac.R) for ac in pairs for phi in _tampers(ac.phi)]
+    assert _agreement(hexagons=hexagons)[1] == {True, False}
+
+
+def test_oracle_agrees_on_single_cell_tampers_on_c6():
+    zeta6 = root_of_unity(6, 1)
+    ac = cyclic_braiding(6, zeta6)
+    pentagons = _tampers(cyclic_phi_q(6, zeta6), zeta6)
+    hexagons = [(ac.phi, R) for R in _tampers(ac.R, zeta6)]
+    hexagons += [(phi, ac.R) for phi in _tampers(ac.phi, zeta6)]
+    assert _agreement(pentagons, hexagons) == ({True, False}, {True, False})
+
+
+def test_oracle_agrees_on_a_third_root_in_a_mu4_table(G):
+    # one cell of a mu_4 table times zeta_3: the product lives at conductor 12
+    zeta3 = root_of_unity(3, 1)
+    phi = phi_X({"sigma", "tau"})
+    ac = braiding_for_label("A")
+    cell3 = G.position((G.sigma, G.tau, G.rho))
+    cell2 = G.position((G.tau, G.rho))
+    broken_phi = list(phi.values)
+    broken_phi[cell3] *= zeta3
+    broken_R = list(ac.R.values)
+    broken_R[cell2] *= zeta3
+    pentagons = [phi, Cochain(G, 3, broken_phi)]
+    hexagons = [(ac.phi, ac.R), (ac.phi, Cochain(G, 2, broken_R))]
+    assert _agreement(pentagons, hexagons) == ({True, False}, {True, False})
+
+
+def test_oracle_passes_a_valid_table_mixing_conductors_of_one(G):
+    # equal values at conductors 1 and 4 are two scalars to the oracle's
+    # product memo; the maps still compare equal value by value
+    def mixed(cochain):
+        values = [CycScalar.one(4 if k % 2 else 1) if v == 1 else v for k, v in enumerate(cochain.values)]
+        assert {v.conductor for v in values if v == 1} == {1, 4}
+        return Cochain(cochain.group, cochain.degree, values)
+
+    ac = braiding_for_label("A")
+    phi, R = mixed(ac.phi), mixed(ac.R)
+    assert categorical_pentagon_check(phi) and is_cocycle3(phi)
+    assert categorical_hexagon_check(phi, R) and is_abelian_cocycle(phi, R)
+    broken = list(R.values)
+    broken[G.position((G.sigma, G.sigma))] *= I
+    assert _agreement(hexagons=[(phi, Cochain(G, 2, broken))])[1] == {False}
+
+
+def test_oracle_passes_a_valid_table_at_least_conductors():
+    # R(x, y) = zeta_12^(xy) on C6, each value at its least conductor: zeta_3,
+    # i and zeta_6 share the coordinates (0, 1), so only the conductor in the
+    # memo's key tells them apart
+    ac = cyclic_braiding(6, root_of_unity(12, 1))
+    values = []
+    for x, y in cyclic(6).tuples(2):
+        e = x.exponents[0] * y.exponents[0] % 12
+        values.append(root_of_unity(12 // gcd(e, 12), e // gcd(e, 12)))
+    R = Cochain(cyclic(6), 2, values)
+    assert R == ac.R and {v.conductor for v in values} == {1, 2, 3, 4, 6, 12}
+    assert categorical_hexagon_check(ac.phi, R) and is_abelian_cocycle(ac.phi, R)
 
 
 def test_braiding_json(G):

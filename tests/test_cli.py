@@ -287,6 +287,29 @@ def test_invalid_input_exits_with_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", "--group", "c4", "--modulus", "99999999999999999999"],
+         "--modulus must be in 1..3037000499, got 99999999999999999999"),
+        (["cohomology", "--group", "c4", "--modulus", "0"], "--modulus must be in 1..3037000499, got 0"),
+        (["generate", "--family", "phi_q", "--n", "3", "--q", "1/0"],
+         "--q: the denominator of '1/0' must be nonzero"),
+        (["generate", "--family", "qabc", "--n", "3", "--q", "zeta0"],
+         "--q: the root order in 'zeta0' must be at least 1"),
+        (["generate", "--family", "g_b", "--b", "x"], "--b: cannot parse scalar 'x'"),
+        (["generate", "--family", "phi_q", "--n", "0"], "--n must be a positive integer, got 0"),
+        (["hopf", "reassociator", "--n", "-2", "--l", "1"], "--n must be a positive integer, got -2"),
+        (["hopf", "build", "--family", "prop53", "--n", "0"], "--n must be a positive integer, got 0"),
+        (["hopf", "delta-crosscheck", "--n", "0"], "--n must be a positive integer, got 0"),
+    ],
+)
+def test_invalid_flags_are_named_with_their_bound(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def _float_coordinate():
     data = phi_X(frozenset()).to_json()
     data["values"][5]["value"]["coeffs"][0] = [1.7, 1]  # int() read this as 1
